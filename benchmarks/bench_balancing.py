@@ -1,7 +1,7 @@
 """E7 — Theorem 4.3 (substituted): SLP balancing via AVL grammars.
 
 Paper: any SLP can be rebalanced to depth O(log d) with size O(s) in O(s)
-time (Ganardi–Jeż–Lohrey).  Our substitute (DESIGN.md §3) guarantees the
+time (Ganardi–Jeż–Lohrey).  Our substitute (repro.slp.balance) guarantees the
 same depth with size O(s·log d).  The benchmark measures the rebuild time
 and the run_all report records the depth/size trade-off on caterpillars
 (the worst case: depth ≈ s).

@@ -6,6 +6,10 @@ when numpy is absent — the import-path gate runs everywhere):
 * cold Lemma 6.5 preprocessing with the ``numpy`` kernel must be >= 3x
   faster than the ``python`` kernel at ``q >= 48`` on a large grammar
   (and produce bit-identical planes);
+* at the small q of everyday queries (a two-key key/value DFA, q in
+  24..31, over a RePair-compressed server log) the numpy kernel's
+  build + counting tables must still be >= 1.5x the python kernel's, so
+  that ``auto`` never picks the slower backend;
 * a store-backed restore (load + hydrating every I-vector, i.e. what a
   full enumeration descent needs) must be >= 1.5x faster under the numpy
   kernel's zero-copy ``np.frombuffer`` decode than under the reference
@@ -33,12 +37,16 @@ import pytest
 
 from repro.bench.harness import time_call
 from repro.core.boolmat import bits_list, iter_bits
+from repro.core.counting import CountingTables
 from repro.core.kernels import numpy_available, resolve_kernel
 from repro.core.matrices import Preprocessing
 from repro.slp.families import power_slp
+from repro.slp.repair import repair_slp
 from repro.spanner.automaton import NFABuilder
-from repro.spanner.transform import pad_slp
+from repro.spanner.transform import pad_slp, pad_spanner
 from repro.store import PreprocessingStore
+from repro.workloads.documents import server_log
+from repro.workloads.queries import pair_spanner
 
 #: The gate's automaton size: the ISSUE demands the 3x win at q >= 48.
 GATE_Q = 56
@@ -90,6 +98,28 @@ def test_numpy_cold_preprocessing_at_least_3x_at_q48(gate_pair):
     assert numpy_prep.export_planes() == python_prep.export_planes()
     assert t_python >= 3.0 * t_numpy, (
         f"numpy kernel only {t_python / t_numpy:.2f}x faster "
+        f"(python {t_python * 1e3:.1f} ms, numpy {t_numpy * 1e3:.1f} ms)"
+    )
+
+
+@needs_numpy
+def test_numpy_build_and_counts_at_least_1p5x_at_small_q():
+    """``auto`` picks numpy: it must beat the reference at everyday q too."""
+    spanner = pair_spanner().eliminate_epsilon().determinize().trim()
+    padded = pad_slp(repair_slp(server_log(400, seed=7)), "#")
+    automaton = pad_spanner(spanner, "#")
+    assert 24 <= automaton.num_states <= 31
+
+    def cold(kernel_name):
+        prep = Preprocessing(padded, automaton, kernel=kernel_name)
+        return prep, CountingTables(prep)
+
+    (numpy_prep, numpy_tables), t_numpy = time_call(cold, "numpy", repeat=5)
+    (python_prep, python_tables), t_python = time_call(cold, "python", repeat=3)
+    assert numpy_prep.export_planes() == python_prep.export_planes()
+    assert numpy_tables.counts == python_tables.counts
+    assert t_python >= 1.5 * t_numpy, (
+        f"numpy build + counts only {t_python / t_numpy:.2f}x faster "
         f"(python {t_python * 1e3:.1f} ms, numpy {t_numpy * 1e3:.1f} ms)"
     )
 

@@ -1,8 +1,10 @@
 """Regenerate every experiment table (E1–E9) in one run.
 
-This is the harness whose output is recorded in ``EXPERIMENTS.md``.  Each
-``e*()`` function sweeps the workload of one experiment from ``DESIGN.md``
-§4 and prints a paper-style table; absolute numbers are machine-dependent,
+This is the harness whose ``--json`` output is committed as the
+``BENCH_<n>.json`` snapshots that ``benchmarks/trajectory.py`` diffs.  Each
+``e*()`` function sweeps the workload of one experiment (the matching
+``bench_*.py`` module says which paper result it exercises) and prints a
+paper-style table; absolute numbers are machine-dependent,
 the *shape* (who wins, growth rates, crossovers) is what reproduces the
 paper's claims.
 

@@ -52,7 +52,7 @@ def main() -> None:
     table2.add("Thue-Morse 2^30", tm.length(), tm.size, tm.depth())
     print(table2)
 
-    # --- balancing (Theorem 4.3, substituted per DESIGN.md §3) -----------
+    # --- balancing (Theorem 4.3, substituted per repro.slp.balance) -------
     deep = caterpillar_slp(5000)
     flat = balance(deep)
     table3 = Table(

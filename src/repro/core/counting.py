@@ -23,9 +23,11 @@ count tuples reachable along several runs).
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import EvaluationError
+from repro.obs.metrics import get_registry
 from repro.slp.grammar import SLP
 from repro.spanner.automaton import SpannerNFA
 from repro.spanner.markers import Pairs, shift, to_span_tuple
@@ -33,6 +35,7 @@ from repro.spanner.spans import SpanTuple
 from repro.spanner.transform import END_SYMBOL, pad_slp, pad_spanner
 
 from repro.core.boolmat import bits_list
+from repro.core.kernels.base import CountRows
 from repro.core.matrices import EMP, Preprocessing
 
 Key = Tuple[object, int, int]
@@ -45,9 +48,13 @@ class CountingTables:
     in two array reads, no tuple hashing on the :meth:`count` hot path —
     ranked access issues one lookup per descent step).  The build is
     delegated to the preprocessing's kernel backend
-    (:meth:`~repro.core.kernels.base.Kernel.build_counts`); the arithmetic
-    is exact Python bigints in every backend, since counts may be
-    astronomically large.  :attr:`counts` offers the historical
+    (:meth:`~repro.core.kernels.base.Kernel.build_counts`), and the
+    vectors are kernel-native: Python-int lists from the reference
+    kernel; from the numpy kernel, float64 rows while every count is
+    below 2**53 (where float64 is exact) and Python-int ``object`` rows
+    once counts outgrow that.  Every count is exact either way, and
+    :meth:`count` and :attr:`counts` normalise values with ``int()``, so
+    callers always get Python ints.  :attr:`counts` offers the historical
     ``{(name, i, j): count}`` dict as a derived view for export and
     persistence.
     """
@@ -60,8 +67,12 @@ class CountingTables:
                 "exact counting requires a DFA (Lemmas 6.9/8.7); determinize first"
             )
         self.prep = prep
+        started = time.monotonic()
         #: nonterminal -> flat row-major q·q vector of |M_A[i,j]|
-        self._flat: Dict[object, List[int]] = prep.kernel.build_counts(prep)
+        self._flat: CountRows = prep.kernel.build_counts(prep)
+        get_registry().histogram(
+            f"kernel.{prep.kernel.name}.build_counts_seconds"
+        ).observe(time.monotonic() - started)
 
     @property
     def counts(self) -> Dict[Key, int]:
@@ -82,7 +93,7 @@ class CountingTables:
             for i in range(q):
                 base = i * q
                 for j in bits_list(prep.notbot_row(name, i)):
-                    out[(name, i, j)] = row[base + j]
+                    out[(name, i, j)] = int(row[base + j])
         return out
 
     @classmethod
@@ -113,7 +124,7 @@ class CountingTables:
 
     def count(self, name: object, i: int, j: int) -> int:
         row = self._flat.get(name)
-        return row[i * self.prep.q + j] if row is not None else 0
+        return int(row[i * self.prep.q + j]) if row is not None else 0
 
     def total(self) -> int:
         """``|⟦M⟧(D)|`` (Lemma 6.3: sum over the accepting states)."""

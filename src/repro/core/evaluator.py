@@ -51,9 +51,9 @@ class CompressedSpannerEvaluator:
     slp:
         The compressed document.
     balance:
-        Rebalance the SLP to depth ``O(log d)`` first (Theorem 4.3 /
-        DESIGN.md §3); this is what makes the enumeration delay
-        logarithmic in the document length.  Default True.
+        Rebalance the SLP to depth ``O(log d)`` first (Theorem 4.3, as
+        substituted in :mod:`repro.slp.balance`); this is what makes the
+        enumeration delay logarithmic in the document length.  Default True.
     end_symbol:
         The padding sentinel (must not occur in the document or automaton).
     kernel:

@@ -15,7 +15,7 @@ matrix*
 is a pure function of the node and can be memoised across edits: the
 Lemma 6.9/8.7 disjointness (for a DFA) turns composition into an ordinary
 integer matrix product ``C_v = C_left · C_right``.  An edit creates only
-``O(log d)`` fresh nodes (Sec. "edits" of DESIGN.md), so re-answering
+``O(log d)`` fresh nodes (see :mod:`repro.slp.edits`), so re-answering
 
 * :meth:`count`        — exact ``|⟦M⟧(D)|``,
 * :meth:`is_nonempty`  — ``⟦M⟧(D) ≠ ∅``,

@@ -9,8 +9,12 @@ backends ship:
 * ``"python"`` — :class:`~repro.core.kernels.base.PythonKernel`, the
   dependency-free reference (Python bigint rows);
 * ``"numpy"`` — :class:`~repro.core.kernels.numpy_kernel.NumpyKernel`,
-  planes as uint64 ndarrays with whole-row broadcast AND/any reductions,
-  and zero-copy ``np.frombuffer`` decoding of stored ``.prep`` planes.
+  which builds the planes of every rule in one contiguous uint64 array
+  and computes a whole *level* of rules (the rules of one height, which
+  never depend on each other) per batch: the Lemma 6.5 step as broadcast
+  AND/any reductions over an ``(L, q, q)`` cube and the counting
+  recurrence as one batched matrix product.  Stored ``.prep`` planes
+  decode zero-copy through ``np.frombuffer``.
 
 **Selection.**  ``resolve_kernel(None)`` / ``resolve_kernel("auto")``
 auto-detects: the numpy backend when numpy is importable on a

@@ -24,7 +24,15 @@ must yield the identical nonnegative integer); containers must support
 accessors normalise every value with ``int()`` on the way out, so two
 kernels that agree on the integers are observationally identical —
 the differential harness and the cross-kernel property tests hold them
-bit-identical.
+bit-identical.  Count vectors follow the same rule: kernel-native
+containers whose values ``int()`` turns into the exact counts, which
+:class:`~repro.core.counting.CountingTables` hands out as Python ints.
+
+**Levels.**  Both builds are bottom-up over the grammar.  The
+:class:`RuleLevels` of a preprocessing group its rules by height: rules
+of one height never derive each other, so a kernel may compute a whole
+level at once.  The reference kernel ignores them and walks
+``prep.order`` rule by rule.
 
 :class:`PythonKernel` is the reference implementation: plain Python
 bigint rows, no third-party dependency, importable everywhere.  The
@@ -37,6 +45,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_left
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -69,18 +78,61 @@ Planes = Tuple[
     Mapping[object, PlaneRows],
 ]
 
+#: name -> flat row-major ``q·q`` count vector of int-convertible scalars.
+CountRows = Mapping[object, Sequence[SupportsInt]]
+
 #: leaf nonterminal -> {(i, j) -> sorted tuple of partial marker sets}.
 LeafTables = Dict[object, Dict[Tuple[int, int], Tuple[Pairs, ...]]]
+
+
+class RuleLevels:
+    """The reachable rules of a grammar grouped by height.
+
+    A leaf has height 0 and ``A -> B C`` has height one more than the
+    higher of ``B`` and ``C``, so every rule of height ``h`` depends only
+    on rules below ``h``.  :attr:`names` lists the rules level by level,
+    and within a level in the order of the ``order`` argument; the index
+    of a rule in :attr:`names` is its *slot*.  Level ``h`` is the slot
+    range ``bounds[h]:bounds[h + 1]``, so level 0 (the leaves) is
+    ``0:bounds[1]``.  The children of the inner rule in slot ``s`` are in
+    slots ``left[s - bounds[1]]`` and ``right[s - bounds[1]]``.
+
+    >>> from repro.slp.families import power_slp
+    >>> slp = power_slp("ab", 2)
+    >>> levels = RuleLevels(slp, slp.topological_order())
+    >>> len(levels), levels.bounds
+    (4, [0, 2, 3, 4, 5])
+    >>> levels.names[2:], levels.left, levels.right
+    (['A0', 'P0', 'P1'], [1, 2, 3], [0, 2, 3])
+    """
+
+    __slots__ = ("names", "bounds", "left", "right")
+
+    def __init__(self, slp: "SLP", order: List[object]) -> None:
+        depth = slp.depth  # the paper's depth: a leaf has depth 1
+        #: every rule of ``order``, level by level (stable within a level)
+        self.names: List[object] = sorted(order, key=depth)
+        heights = [depth(name) - 1 for name in self.names]
+        #: level h occupies slots bounds[h]:bounds[h + 1]
+        self.bounds: List[int] = [
+            bisect_left(heights, h) for h in range(heights[-1] + 1)
+        ] + [len(heights)]
+        slot = {name: s for s, name in enumerate(self.names)}
+        rules = slp.inner_rules
+        inner = self.names[self.bounds[1] :]
+        #: child slots of the inner rules, indexed by ``slot - bounds[1]``
+        self.left: List[int] = [slot[rules[name][0]] for name in inner]
+        self.right: List[int] = [slot[rules[name][1]] for name in inner]
+
+    def __len__(self) -> int:
+        """The number of levels (the height of the tallest rule, plus one)."""
+        return len(self.bounds) - 1
 
 
 def leaf_plane_rows(
     leaf_tables: LeafTables, name: object, q: int
 ) -> Tuple[List[int], List[int]]:
-    """The (notbot, one) row bitmasks of one leaf nonterminal, as ints.
-
-    Shared by every kernel: leaf planes are ``O(q)`` work off the (small)
-    leaf tables, so there is nothing to vectorise.
-    """
+    """The (notbot, one) row bitmasks of one leaf nonterminal, as ints."""
     nb_rows = [0] * q
     one_rows = [0] * q
     for (i, j), entries in leaf_tables[name].items():
@@ -97,18 +149,24 @@ class Kernel:
     #: Registry name; also what ``repro stats --profile`` reports.
     name: str = "abstract"
 
-    def build_planes(
-        self, slp: "SLP", order: List[object], q: int, leaf_tables: LeafTables
-    ) -> Planes:
-        """The Lemma 6.5 tables ``(notbot, one, I)`` for every name in ``order``."""
+    def build_planes(self, prep: "Preprocessing") -> Planes:
+        """The Lemma 6.5 tables ``(notbot, one, I)`` for every name in ``prep.order``.
+
+        Called while ``prep`` is being constructed: its ``slp``, ``q``,
+        ``order``, ``levels`` and ``leaf_tables`` are set, its planes are not.
+        """
         raise NotImplementedError
 
     def bool_multiply(self, a: List[int], b: List[int]) -> List[int]:
         """Boolean matrix product of two row-bitmask matrices (Lemma 4.5)."""
         raise NotImplementedError
 
-    def build_counts(self, prep: "Preprocessing") -> Dict[object, List[int]]:
-        """Per-name flat ``i*q+j`` vectors of ``|M_A[i,j]|`` (exact bigints)."""
+    def build_counts(self, prep: "Preprocessing") -> CountRows:
+        """Per-name flat ``i*q+j`` vectors of the exact counts ``|M_A[i,j]|``.
+
+        Containers are kernel-native, like the planes: ``int(value)`` must
+        yield the exact count, however large.
+        """
         raise NotImplementedError
 
     def decode_words(
@@ -132,9 +190,8 @@ class PythonKernel(Kernel):
 
     name = "python"
 
-    def build_planes(
-        self, slp: "SLP", order: List[object], q: int, leaf_tables: LeafTables
-    ) -> Planes:
+    def build_planes(self, prep: "Preprocessing") -> Planes:
+        slp, q, leaf_tables = prep.slp, prep.q, prep.leaf_tables
         notbot: Dict[object, List[int]] = {}
         one: Dict[object, List[int]] = {}
         I: Dict[object, List[int]] = {}
@@ -160,7 +217,7 @@ class PythonKernel(Kernel):
                 cols_cache[child] = cached
             return cached
 
-        for name in order:
+        for name in prep.order:
             if slp.is_leaf(name):
                 notbot[name], one[name] = leaf_plane_rows(leaf_tables, name, q)
                 continue

@@ -9,40 +9,70 @@ numpy.
 word ``w`` of row ``i`` holding bits ``64·w .. 64·w+63`` little-endian —
 bit-for-bit the layout of the ``.prep`` store's word sections
 (:mod:`repro.store.prepstore` ``_pack_words``), which is what makes the
-restore path a zero-copy ``np.frombuffer`` view.  For ``q <= 64``
-(``row_words == 1``) the planes stay numpy-native inside
-:class:`~repro.core.matrices.Preprocessing` (1-D ``uint64`` arrays whose
-scalars the accessors normalise with ``int()``); wider automata are
-materialised back to Python bigint rows after the vectorised build, so
-every consumer sees the same logical values either way.
+restore path a zero-copy ``np.frombuffer`` view.  The build holds the
+``notbot`` and ``one`` planes of *all* rules, and their transposes (the
+column planes), as four contiguous ``(n_rules, q, row_words)`` arrays,
+plus one ``(n_inner, q, q, row_words)`` array for ``I``.  A rule's index
+in them is its slot in the preprocessing's
+:class:`~repro.core.kernels.base.RuleLevels`, so the rules of one level
+are one contiguous slice.  The per-name containers handed to
+:class:`~repro.core.matrices.Preprocessing` are views into these arrays:
+1-D ``uint64`` rows for ``q <= 64`` (``row_words == 1``), whose scalars
+the accessors normalise with ``int()``; wider automata are materialised
+to Python bigint rows after the build, so every consumer sees the same
+logical values either way.
 
-**The Lemma 6.5 parent rule**, vectorised: for ``A -> B C`` the whole
-``I_A`` block is one broadcast AND —
-``I3[i, j, w] = notbot_B[i, w] & columns(notbot_C)[j, w]`` over the
-``(q, q, row_words)`` cube — followed by ``any``-reductions for the
-``notbot``/``one`` row planes, instead of the per-``(i, j)`` Python loop.
-Transposed column planes are built with ``np.unpackbits`` /
-``np.packbits`` (``bitorder="little"``) and cached per right child,
-mirroring the reference kernel.
+**The Lemma 6.5 build**, one level at a time.  For the rules
+``A -> B C`` of a level, gathered into ``L``-long index vectors, the
+whole level's ``I`` is one broadcast AND over an ``(L, q, q, row_words)``
+cube, ``I[l, i, j] = notbot_B[i] & columns(notbot_C)[j]``, written in
+place into the ``I`` array.  ``R_A[i, j] ≠ ⊥`` iff that cube cell is
+nonzero, and ``R_A[i, j] = 1`` iff the cell meets ``one_B[i]`` or
+``columns(one_C)[j]`` (``one`` is a subset of ``notbot``, so
+``(one_B & col_nb_C) | (nb_B & col_one_C) = I & (one_B | col_one_C)``).
+The four row and column planes of the level are then packed from those
+two ``(L, q, q)`` boolean cubes with ``np.packbits``.  A level wider than
+:data:`BATCH_WORDS` words of cube is split into batches, which bounds the
+transient memory whatever the grammar.
+
+**The counting recurrence** (Lemmas 6.9/8.7) is a matrix product: the
+count ``|M_B[i, k]|`` is nonzero exactly on the ``notbot`` cells, so
+``Σ_{k ∈ I_A[i,j]} |M_B[i,k]|·|M_C[k,j]|`` is ``(count_B @ count_C)[i, j]``
+— including the zero cells outside ``notbot``.  Each level is one batched
+float64 ``matmul`` (BLAS, an order of magnitude faster than numpy's int64
+product at these sizes), which is *exact* while every count stays below
+:data:`FLOAT_EXACT` = 2**53, and a computed product proves whether it
+did.  Counts grow with the document and may pass any fixed width, so
+from the first batch whose product reaches 2**53 on, the remaining levels
+are computed in exact Python-int (``object``) arithmetic.  The rows are
+handed out as they were computed, float64 or ``object``; consumers
+int()-normalise them, as they do the planes.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Sequence, SupportsInt, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Iterator,
+    List,
+    Sequence,
+    SupportsInt,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from repro.core.kernels.base import (
+    CountRows,
     Kernel,
-    LeafTables,
     Planes,
     PYTHON_KERNEL,
-    leaf_plane_rows,
+    RuleLevels,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.matrices import Preprocessing
-    from repro.slp.grammar import SLP
 
 #: The on-disk (and in-memory) word type: little-endian uint64.
 WORD = np.dtype("<u8")
@@ -50,6 +80,17 @@ WORD = np.dtype("<u8")
 #: Below this many states the per-call ndarray set-up costs more than the
 #: bigint loop it replaces; delegate tiny products to the reference kernel.
 MIN_VECTOR_Q = 32
+
+#: The most uint64 words one batch's ``(L, q, q, row_words)`` cube may
+#: hold (4 MiB); wider levels are split, so a build's transient memory
+#: stays a small multiple of this whatever the grammar's shape.
+BATCH_WORDS = 1 << 19
+
+#: float64 holds every integer below this exactly.  A float64 product of
+#: nonnegative integer matrices whose every result is below it is exact,
+#: since each partial sum is at most the result; and a computed result
+#: below it proves that the true one is (rounding is monotone).
+FLOAT_EXACT = 2.0**53
 
 Rows = Union[List[int], np.ndarray]
 
@@ -71,28 +112,70 @@ def _unpack_bits(words: np.ndarray, q: int) -> np.ndarray:
     return np.unpackbits(u8, axis=1, bitorder="little")[:, :q]
 
 
-def _pack_rows(bits: np.ndarray, row_words: int) -> np.ndarray:
-    """``(n, q)`` 0/1 values -> ``(n, row_words)`` uint64 row words."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    width = row_words * 8
-    if packed.shape[1] != width:
-        padded = np.zeros((packed.shape[0], width), dtype=np.uint8)
-        padded[:, : packed.shape[1]] = packed
-        packed = padded
-    return np.ascontiguousarray(packed).view(np.uint64)
+def _pack(bits: np.ndarray, row_words: int) -> np.ndarray:
+    """``(..., q)`` booleans -> ``(..., row_words)`` uint64 words, bit ``j`` = ``bits[..., j]``.
+
+    Rows are padded to whole words first, so a single flat ``packbits``
+    packs them all (far faster than ``packbits`` along an axis).
+    """
+    lead = bits.shape[:-1]
+    padded = np.zeros(lead + (row_words * 64,), dtype=bool)
+    padded[..., : bits.shape[-1]] = bits
+    packed = np.packbits(padded.reshape(-1), bitorder="little")
+    return packed.view(WORD).reshape(lead + (row_words,))
 
 
-def _to_int_rows(words: np.ndarray, row_words: int) -> List[int]:
-    """``(n, row_words)`` word array back to Python bigint rows."""
-    if row_words == 1:
-        return words.reshape(-1).tolist()
-    data = np.ascontiguousarray(words).tobytes()
-    width = row_words * 8
-    from_bytes = int.from_bytes
-    return [
-        from_bytes(data[k : k + width], "little")
-        for k in range(0, len(data), width)
+def _to_ints(words: np.ndarray) -> np.ndarray:
+    """``(..., row_words)`` words -> the ``(...)`` row values, ``tolist()``-ready.
+
+    One word needs no conversion (``tolist`` yields Python ints); wider
+    rows are assembled as Python bigints in an ``object`` array.
+    """
+    if words.shape[-1] == 1:
+        return words[..., 0]
+    values = words[..., 0].astype(object)
+    for w in range(1, words.shape[-1]):
+        values |= words[..., w].astype(object) << (64 * w)
+    return values
+
+
+def _batches(
+    levels: RuleLevels, cells: int
+) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
+    """The inner rules, level by level, as ``(lo, hi, left, right)`` batches.
+
+    ``lo:hi`` is a slot range inside one level and ``left``/``right`` are
+    the child slots of its rules.  ``cells`` is the size of one rule's
+    cube; a batch holds at most :data:`BATCH_WORDS` of them (and always at
+    least one rule).
+    """
+    step = max(1, BATCH_WORDS // cells)
+    bounds = levels.bounds
+    n_leaves = bounds[1]
+    left = np.array(levels.left, dtype=np.intp)
+    right = np.array(levels.right, dtype=np.intp)
+    for lo_level, hi_level in zip(bounds[1:], bounds[2:]):
+        for lo in range(lo_level, hi_level, step):
+            hi = min(lo + step, hi_level)
+            children = slice(lo - n_leaves, hi - n_leaves)
+            yield lo, hi, left[children], right[children]
+
+
+def _leaf_cells(prep: "Preprocessing") -> np.ndarray:
+    """The nonempty leaf-table cells as rows ``(slot, i, j, size, marked)``.
+
+    ``size`` is ``|M_Tx[i, j]|``; ``marked`` is 1 iff the cell holds a
+    nonempty marker set (``R = 1``).  Leaves are the first slots.
+    """
+    levels = prep.levels
+    tables = prep.leaf_tables
+    cells = [
+        (slot, i, j, len(entries), entries != ((),))
+        for slot, name in enumerate(levels.names[: levels.bounds[1]])
+        for (i, j), entries in tables[name].items()
+        if entries
     ]
+    return np.array(cells, dtype=np.int64).reshape(len(cells), 5)
 
 
 class NumpyKernel(Kernel):
@@ -100,57 +183,61 @@ class NumpyKernel(Kernel):
 
     name = "numpy"
 
-    def build_planes(
-        self, slp: "SLP", order: List[object], q: int, leaf_tables: LeafTables
-    ) -> Planes:
+    def build_planes(self, prep: "Preprocessing") -> Planes:
+        q = prep.q
         row_words = (q + 63) // 64
-        notbot: Dict[object, np.ndarray] = {}
-        one: Dict[object, np.ndarray] = {}
-        inner_i: Dict[object, np.ndarray] = {}
+        levels = prep.levels
+        names = levels.names
+        n_rules, n_leaves = len(names), levels.bounds[1]
+        shape = (n_rules, q, row_words)
+        notbot = np.empty(shape, dtype=WORD)
+        one = np.empty(shape, dtype=WORD)
+        # Column planes: row j of notbot_t[s] is column j of notbot[s].
+        notbot_t = np.empty(shape, dtype=WORD)
+        one_t = np.empty(shape, dtype=WORD)
+        inner = np.empty((n_rules - n_leaves, q, q, row_words), dtype=WORD)
 
-        cols_cache: Dict[object, Tuple[np.ndarray, np.ndarray]] = {}
+        def store(lo: int, hi: int, nb_bits: np.ndarray, one_bits: np.ndarray) -> None:
+            notbot[lo:hi] = _pack(nb_bits, row_words)
+            one[lo:hi] = _pack(one_bits, row_words)
+            notbot_t[lo:hi] = _pack(nb_bits.swapaxes(1, 2), row_words)
+            one_t[lo:hi] = _pack(one_bits.swapaxes(1, 2), row_words)
 
-        def columns(child: object) -> Tuple[np.ndarray, np.ndarray]:
-            cached = cols_cache.get(child)
-            if cached is None:
-                nb_t = _unpack_bits(notbot[child], q).T
-                one_t = _unpack_bits(one[child], q).T
-                cached = (_pack_rows(nb_t, row_words), _pack_rows(one_t, row_words))
-                cols_cache[child] = cached
-            return cached
+        slot, i, j, _, marked = _leaf_cells(prep).T
+        nb_bits = np.zeros((n_leaves, q, q), dtype=bool)
+        nb_bits[slot, i, j] = True
+        one_bits = np.zeros((n_leaves, q, q), dtype=bool)
+        one_bits[slot, i, j] = marked != 0
+        store(0, n_leaves, nb_bits, one_bits)
 
-        for name in order:
-            if slp.is_leaf(name):
-                nb_rows, one_rows = leaf_plane_rows(leaf_tables, name, q)
-                notbot[name] = _as_words(nb_rows, row_words)
-                one[name] = _as_words(one_rows, row_words)
-                continue
-            left, right = slp.children(name)
-            right_nbc, right_onec = columns(right)
-            left_nb = notbot[left]
-            left_one = one[left]
-            # The whole parent rule in four broadcast expressions over the
-            # (q, q, row_words) cube — no per-(i, j) Python iteration.
-            cube = left_nb[:, None, :] & right_nbc[None, :, :]
-            nb_bits = cube.any(axis=2)
-            one_bits = (left_one[:, None, :] & right_nbc[None, :, :]).any(axis=2)
-            one_bits |= (left_nb[:, None, :] & right_onec[None, :, :]).any(axis=2)
-            notbot[name] = _pack_rows(nb_bits, row_words)
-            one[name] = _pack_rows(one_bits, row_words)
-            inner_i[name] = cube.reshape(q * q, row_words)
+        for lo, hi, lb, rc in _batches(levels, q * q * row_words):
+            cube = np.bitwise_and(
+                notbot[lb][:, :, None, :],
+                notbot_t[rc][:, None, :, :],
+                out=inner[lo - n_leaves : hi - n_leaves],
+            )
+            marks = one[lb][:, :, None, :] | one_t[rc][:, None, :, :]
+            marks &= cube
+            store(lo, hi, cube.any(axis=3), marks.any(axis=3))
 
+        inner_names = names[n_leaves:]
         if row_words == 1:
-            # Native storage: 1-D uint64 arrays; accessors int()-normalise.
+            # Native storage: 1-D uint64 views; accessors int()-normalise.
             return (
-                {n: a.reshape(q) for n, a in notbot.items()},
-                {n: a.reshape(q) for n, a in one.items()},
-                {n: a.reshape(q * q) for n, a in inner_i.items()},
+                dict(zip(names, notbot.reshape(n_rules, q))),
+                dict(zip(names, one.reshape(n_rules, q))),
+                dict(zip(inner_names, inner.reshape(len(inner_names), q * q))),
             )
         # Multi-word rows have no scalar form — materialise bigint rows.
         return (
-            {n: _to_int_rows(a, row_words) for n, a in notbot.items()},
-            {n: _to_int_rows(a, row_words) for n, a in one.items()},
-            {n: _to_int_rows(a, row_words) for n, a in inner_i.items()},
+            dict(zip(names, _to_ints(notbot).tolist())),
+            dict(zip(names, _to_ints(one).tolist())),
+            dict(
+                zip(
+                    inner_names,
+                    _to_ints(inner).reshape(len(inner_names), q * q).tolist(),
+                )
+            ),
         )
 
     def bool_multiply(self, a: List[int], b: List[int]) -> List[int]:
@@ -162,36 +249,26 @@ class NumpyKernel(Kernel):
         b_words = _as_words(b, row_words)
         # out[i] = OR of the rows of b selected by the set bits of a[i].
         selected = np.where(a_bits[:, :, None] != 0, b_words[None, :, :], 0)
-        return _to_int_rows(np.bitwise_or.reduce(selected, axis=1), row_words)
+        rows: List[int] = _to_ints(np.bitwise_or.reduce(selected, axis=1)).tolist()
+        return rows
 
-    def build_counts(self, prep: "Preprocessing") -> Dict[object, List[int]]:
+    def build_counts(self, prep: "Preprocessing") -> CountRows:
         q = prep.q
-        slp = prep.slp
-        row_words = (q + 63) // 64
-        flat: Dict[object, List[int]] = {}
-        for name in prep.order:
-            if slp.is_leaf(name):
-                row = [0] * (q * q)
-                for (i, j), entries in prep.leaf_tables[name].items():
-                    row[i * q + j] = len(entries)
-                flat[name] = row
-                continue
-            left, right = slp.children(name)
-            left_flat, right_flat = flat[left], flat[right]
-            # All (cell, k) index pairs of the I plane in one nonzero scan
-            # (a cell is nonzero iff its notbot bit is set); the exact
-            # bigint multiply-accumulate stays in Python — counts may be
-            # astronomically large — but runs over precomputed flat
-            # indices with no per-row mask decoding.
-            i_bits = _unpack_bits(_as_words(prep.I[name], row_words), q)
-            cells, ks = np.nonzero(i_bits)
-            left_idx = (cells // q * q + ks).tolist()
-            right_idx = (ks * q + cells % q).tolist()
-            row = [0] * (q * q)
-            for cell, li, ri in zip(cells.tolist(), left_idx, right_idx):
-                row[cell] += left_flat[li] * right_flat[ri]
-            flat[name] = row
-        return flat
+        levels = prep.levels
+        n_rules = len(levels.names)
+        # float64 holds every count exactly until the switch below, and
+        # int() on the way out turns it into the Python int.
+        counts = np.zeros((n_rules, q, q), dtype=np.float64)
+        slot, i, j, size, _ = _leaf_cells(prep).T
+        counts[slot, i, j] = size
+        for lo, hi, lb, rc in _batches(levels, q * q):
+            product = np.matmul(counts[lb], counts[rc])
+            if counts.dtype != object and product.max() >= FLOAT_EXACT:
+                # Exact bigints from here on; completed levels convert once.
+                counts = counts.astype(np.int64).astype(object)
+                product = np.matmul(counts[lb], counts[rc])
+            counts[lo:hi] = product
+        return dict(zip(levels.names, counts.reshape(n_rules, q * q)))
 
     def decode_words(
         self, buf: bytes, offset: int, count: int, row_words: int

@@ -18,18 +18,19 @@ Storage is *bit-plane*, not list-of-lists: per nonterminal ``A`` the matrix
 ``R_A`` is two vectors of ``q`` row bitmasks (``notbot[A][i]`` has bit ``j``
 set iff ``R_A[i,j] ≠ ⊥``; ``one[A][i]`` has bit ``j`` set iff
 ``R_A[i,j] = 1``); ``I_A`` is a flat row-major vector of ``q·q``
-intermediate-state bitmasks.  During construction the transposed column
-planes of each right child are built once (not rebuilt per parent as in the
-old representation), so a parent rule ``A -> B C`` costs ``O(q²)`` word
-operations (one AND + two tests per entry) with no re-scan of the child
-matrices.
+intermediate-state bitmasks.  A parent rule ``A -> B C`` ANDs the rows of
+``B`` with the transposed column planes of ``C``, so it costs ``O(q²)``
+word operations (one AND + two tests per entry) with no re-scan of the
+child matrices.
 
 The build itself is delegated to a pluggable *kernel backend*
-(:mod:`repro.core.kernels`): the dependency-free ``python`` kernel runs
-the loop above over bigint rows, the ``numpy`` kernel computes whole
-parent rules with broadcast AND/any reductions over uint64 word arrays.
-Kernels may store plane containers in their native layout (e.g. 1-D
-``uint64`` ndarrays for ``q <= 64``); the accessors below normalise every
+(:mod:`repro.core.kernels`).  The dependency-free ``python`` kernel walks
+:attr:`Preprocessing.order` rule by rule over bigint rows.  The ``numpy``
+kernel walks :attr:`Preprocessing.levels` — the rules grouped by height,
+computed once and reused by the counting-table build — and computes each
+level in a few broadcast operations over uint64 word arrays.  Kernels may
+store plane containers in their native layout (e.g. 1-D ``uint64``
+ndarray views for ``q <= 64``); the accessors below normalise every
 value with ``int()``, so consumers — and the differential harness — see
 bit-identical integers regardless of backend.
 
@@ -46,7 +47,7 @@ Total time ``O(|M| + size(S) · q^2)`` word operations (the paper states
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, FrozenSet, List, Mapping, Set, Tuple, Union
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.errors import EvaluationError
 from repro.obs.metrics import get_registry
@@ -58,7 +59,7 @@ from repro.spanner.markers import Marker, Pairs
 
 from repro.core.boolmat import bits_list
 from repro.core.kernels import Kernel, resolve_kernel
-from repro.core.kernels.base import LeafTables, PlaneRows
+from repro.core.kernels.base import LeafTables, PlaneRows, RuleLevels
 
 #: R-matrix entries (Definition 6.4).
 BOT = 0  # ⊥ : M_A[i,j] = ∅
@@ -92,6 +93,7 @@ class Preprocessing:
         "I",
         "final_states",
         "order",
+        "_levels",
     )
 
     # Annotation-only declarations (no values — compatible with __slots__).
@@ -122,9 +124,10 @@ class Preprocessing:
         self.kernel = resolve_kernel(kernel)
         #: leaf nonterminal -> {(i, j) -> sorted tuple of partial marker sets}
         self.leaf_tables = {}
-        self._compute_leaf_tables()
         reachable = self.slp.reachable()
+        self._compute_leaf_tables(reachable)
         self.order = [n for n in self.slp.topological_order() if n in reachable]
+        self._levels: Optional[RuleLevels] = None
         #: notbot: nonterminal -> q row bitmasks; bit j of row i set iff
         #: R_A[i,j] ≠ ⊥.  one: same, bit set iff R_A[i,j] = 1.  I: inner
         #: nonterminal -> flat row-major q·q intermediate-state bitmasks.
@@ -132,11 +135,13 @@ class Preprocessing:
         #: go through the accessors, which int()-normalise.
         started = time.monotonic()
         with get_tracer().span(
-            "kernel.build_planes", kernel=self.kernel.name, q=self.q
+            "kernel.build_planes",
+            kernel=self.kernel.name,
+            q=self.q,
+            rules=len(self.order),
+            levels=len(self.levels),
         ):
-            self.notbot, self.one, self.I = self.kernel.build_planes(
-                self.slp, self.order, self.q, self.leaf_tables
-            )
+            self.notbot, self.one, self.I = self.kernel.build_planes(self)
         get_registry().histogram(
             f"kernel.{self.kernel.name}.build_planes_seconds"
         ).observe(time.monotonic() - started)
@@ -147,9 +152,17 @@ class Preprocessing:
             j for j in automaton.accepting if (start_mask >> j) & 1
         )
 
+    @property
+    def levels(self) -> RuleLevels:
+        """The reachable rules grouped by height, computed once and shared
+        by the plane build and the counting-table build."""
+        if self._levels is None:
+            self._levels = RuleLevels(self.slp, self.order)
+        return self._levels
+
     # -- Lemma 6.5, leaf part ------------------------------------------------
 
-    def _compute_leaf_tables(self) -> None:
+    def _compute_leaf_tables(self, reachable: FrozenSet[object]) -> None:
         # P_i = {(ℓ, Y) : ℓ --Y--> i with Y a marker-set symbol}
         incoming_marker: Dict[int, List[Tuple[int, FrozenSet[Marker]]]] = {}
         char_arcs: List[Tuple[int, str, int]] = []
@@ -160,7 +173,6 @@ class Preprocessing:
                 char_arcs.append((source, symbol, target))
 
         tables: Dict[object, Dict[Tuple[int, int], Set[Pairs]]] = {}
-        reachable = self.slp.reachable()
         wanted = {
             self.slp.terminal(name): name
             for name in reachable
@@ -280,6 +292,7 @@ class Preprocessing:
         obj.final_states = list(planes["final_states"])
         reachable = slp.reachable()
         obj.order = [n for n in slp.topological_order() if n in reachable]
+        obj._levels = None
         for name in obj.order:
             if name not in obj.notbot or name not in obj.one:
                 raise EvaluationError(f"imported planes miss nonterminal {name!r}")

@@ -28,6 +28,7 @@ semantics as the single-pair evaluator.
 from __future__ import annotations
 
 import time
+import weakref
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -137,16 +138,22 @@ class Engine:
         key_mode = "structural" if structural_keys else "identity"
         self._documents = LRUCache(max_documents, key_mode=key_mode)
         self._spanners = LRUCache(max_spanners, key_mode=key_mode)
+        # The eviction hook holds the engine weakly: an engine <-> cache
+        # cycle would keep a dropped engine's tables alive until the cyclic
+        # collector next runs, which large kernel arrays make rare.
+        engine = weakref.ref(self)
+
+        def on_prep_evict(entry: PreprocessingEntry) -> None:
+            live = engine()
+            if live is not None and entry.counting is not None:
+                live._counting_evictions += 1
+
         self._preps = PreprocessingCache(
-            max_preprocessings, on_evict=self._on_prep_evict, key_mode=key_mode
+            max_preprocessings, on_evict=on_prep_evict, key_mode=key_mode
         )
         self._counting_hits = 0
         self._counting_misses = 0
         self._counting_evictions = 0
-
-    def _on_prep_evict(self, entry: PreprocessingEntry) -> None:
-        if entry.counting is not None:
-            self._counting_evictions += 1
 
     # -- shared artifact lookups ----------------------------------------
 

@@ -7,7 +7,8 @@ Public surface:
 * :mod:`~repro.slp.construct` / :mod:`~repro.slp.repair` /
   :mod:`~repro.slp.lz` — grammar construction and compression;
 * :mod:`~repro.slp.balance` — depth-``O(log d)`` rebalancing (the paper's
-  Theorem 4.3, substituted per DESIGN.md §3);
+  Theorem 4.3, substituted by AVL-grammar rebalancing; the module
+  docstring gives the trade-off);
 * :mod:`~repro.slp.families` — the paper's example grammars and the
   compressible families used in the benchmarks.
 """

@@ -3,7 +3,7 @@
 The paper invokes Ganardi–Jeż–Lohrey (FOCS'19): any SLP of size ``s`` can be
 rebalanced in ``O(s)`` time into an equivalent SLP of size ``O(s)`` and depth
 ``O(log d)``.  Implementing GJL verbatim is out of scope; we substitute
-Rytter-style **AVL-grammar rebalancing** (see ``DESIGN.md`` §3):
+Rytter-style **AVL-grammar rebalancing** (see :mod:`repro.slp.avl`):
 
 * same depth guarantee: ``depth(S') <= 1.44 * log2(d) + 3``;
 * size ``O(s · log d)`` instead of ``O(s)`` (measured in bench E7).

@@ -61,6 +61,33 @@ class TestCounting:
         assert count_results(balanced_slp(doc), nfa) == 30 * 29 // 2
 
 
+class TestCountsBeyondInt64:
+    """Counts past 2**63 stay exact and come out as Python ints."""
+
+    #: x on an ``a``, y on a later ``b``: over ``(ab)^n`` there are n(n+1)/2.
+    PATTERN = r"(a|b)*(?P<x>a)(a|b)*(?P<y>b)(a|b)*"
+
+    @pytest.mark.parametrize("doublings,bits", [(40, 80), (70, 140)])
+    def test_two_variable_total(self, doublings, bits):
+        nfa = compile_spanner(self.PATTERN, alphabet="ab")
+        total = count_results(power_slp("ab", doublings), nfa)
+        n = 2**doublings
+        assert type(total) is int
+        assert total == n * (n + 1) // 2
+        assert total.bit_length() == bits
+
+    def test_select_around_rank_2_pow_63(self):
+        nfa = compile_spanner(self.PATTERN, alphabet="ab")
+        ra = ranked_access(power_slp("ab", 40), nfa)
+        seen = set()
+        for rank in range(2**63 - 2, 2**63 + 3):
+            x, y = ra.select_tuple(rank)["x"], ra.select_tuple(rank)["y"]
+            # x is an 'a' (odd 1-based position), y a later 'b'
+            assert x.start % 2 == 1 and y.start % 2 == 0 and x.start < y.start
+            seen.add((x, y))
+        assert len(seen) == 5
+
+
 class TestRankedAccess:
     def test_select_covers_relation(self, compiled_patterns):
         rng = random.Random(5)

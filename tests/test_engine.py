@@ -335,6 +335,23 @@ class TestDocumentEvictionResilience:
         assert stats["preprocessings"].evictions == 1
         assert stats["counting"].evictions == 1
 
+    def test_dropped_engine_frees_its_tables_without_the_cycle_collector(self):
+        # The caches must not hold their engine: a dropped engine frees
+        # its tables at once, not whenever the cyclic collector next runs.
+        import gc
+        import weakref
+
+        engine = Engine()
+        spanner = compile_spanner(r".*(?P<x>ab).*", alphabet="ab")
+        engine.count(spanner, balanced_slp("abab"))
+        dropped = weakref.ref(engine)
+        gc.disable()
+        try:
+            del engine
+            assert dropped() is None
+        finally:
+            gc.enable()
+
     def test_prep_hit_skips_spanner_repreparation(self):
         # Regression: a preprocessing-cache hit must not re-run the spanner
         # preparation chain after the spanner was evicted from its own LRU.

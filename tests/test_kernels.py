@@ -18,7 +18,7 @@ import pickle
 
 import pytest
 
-from repro.core.counting import CountingTables
+from repro.core.counting import CountingTables, RankedAccess
 from repro.core.enumeration import enumerate_marker_sets
 from repro.core.kernels import (
     KERNEL_CHOICES,
@@ -34,11 +34,14 @@ from repro.engine.spec import EngineConfig
 from repro.errors import EvaluationError
 from repro.slp.construct import balanced_slp, bisection_slp
 from repro.slp.families import fibonacci_slp, power_slp, thue_morse_slp
+from repro.slp.grammar import SLP
 from repro.slp.lz import lz_slp
 from repro.slp.repair import repair_slp
 from repro.spanner.regex import compile_spanner
 from repro.spanner.transform import pad_slp, pad_spanner
 from repro.store import PreprocessingStore
+from repro.workloads.documents import server_log
+from repro.workloads.queries import key_value_spanner
 
 from test_differential import random_pairs
 
@@ -246,3 +249,193 @@ def test_cli_kernel_flag_and_profile(kernel, tmp_path, capsys):
     assert "kernel" in out and "prep_build" in out and "store_restore" in out
     expected_name = default_kernel_name() if kernel == "auto" else kernel
     assert expected_name in out
+
+
+# -- counts beyond int64 -------------------------------------------------------
+
+#: x on an ``a``, y on a later ``b``: over ``(ab)^n`` there are n(n+1)/2 pairs.
+PAIR_PATTERN = r"(a|b)*(?P<x>a)(a|b)*(?P<y>b)(a|b)*"
+
+
+def _pair_total(doublings):
+    n = 2**doublings
+    return n * (n + 1) // 2
+
+
+@needs_numpy
+@pytest.mark.parametrize("doublings,bits", [(40, 80), (70, 140)])
+def test_counts_beyond_int64_bit_identical(doublings, bits):
+    spanner = compile_spanner(PAIR_PATTERN, alphabet="ab")
+    pair = _dfa_pair(spanner, power_slp("ab", doublings), "#")
+    prep = assert_kernels_bit_identical(*pair)
+    total = CountingTables(prep).total()
+    assert total == _pair_total(doublings)
+    assert total.bit_length() == bits
+
+
+def _mixed_height_slp(doublings):
+    """``(ab)^(2^k)`` beside a caterpillar ``C_h = C_(h-1)·ab`` of equal height.
+
+    ``C_(h+1)`` has the height of the doubling ``P_h`` but derives only
+    ``(ab)^(h+2)``, so every level mixes huge counts with tiny ones.
+    """
+    base = power_slp("ab", doublings)
+    ab = base.children("P0")[0]
+    inner = dict(base.inner_rules)
+    previous = ab
+    for h in range(1, doublings + 1):
+        inner[f"C{h}"] = (previous, ab)
+        previous = f"C{h}"
+    inner["S"] = (f"P{doublings - 1}", previous)
+    return SLP(inner, base.leaf_rules, "S")
+
+
+@needs_numpy
+def test_counts_overflow_starting_at_a_middle_level():
+    """The exact-bigint fallback starts mid-grammar, inside a mixed level."""
+    from repro.core.kernels.numpy_kernel import FLOAT_EXACT
+
+    spanner = compile_spanner(PAIR_PATTERN, alphabet="ab")
+    pair = _dfa_pair(spanner, _mixed_height_slp(40), "#")
+    prep = assert_kernels_bit_identical(*pair)
+    tables = CountingTables(prep)
+    levels = prep.levels
+    q = prep.q
+
+    def largest(name):
+        return max(tables.count(name, i, j) for i in range(q) for j in range(q))
+
+    peaks = [
+        [largest(name) for name in levels.names[lo:hi]]
+        for lo, hi in zip(levels.bounds, levels.bounds[1:])
+    ]
+    first = next(h for h, level in enumerate(peaks) if max(level) >= FLOAT_EXACT)
+    assert 1 < first < len(peaks) - 1
+    assert min(peaks[first]) < FLOAT_EXACT  # the level is mixed
+    assert max(peaks[-1]) >= 2**63
+
+
+@needs_numpy
+@pytest.mark.parametrize("kernel", ["python", "numpy"])
+def test_count_returns_python_int(kernel):
+    spanner = compile_spanner(PAIR_PATTERN, alphabet="ab")
+    for doublings in (3, 40):
+        padded_slp, padded_dfa = _dfa_pair(spanner, power_slp("ab", doublings), "#")
+        prep = Preprocessing(padded_slp, padded_dfa, kernel=kernel)
+        tables = CountingTables(prep)
+        values = [
+            tables.count(name, i, j)
+            for name in prep.order
+            for i in range(prep.q)
+            for j in range(prep.q)
+        ]
+        assert all(type(value) is int for value in values)
+        assert type(tables.total()) is int
+        assert all(type(value) is int for value in tables.counts.values())
+
+
+@needs_numpy
+def test_ranked_access_around_rank_2_pow_63():
+    spanner = compile_spanner(PAIR_PATTERN, alphabet="ab")
+    padded_slp, padded_dfa = _dfa_pair(spanner, power_slp("ab", 40), "#")
+    python_access = RankedAccess(
+        Preprocessing(padded_slp, padded_dfa, kernel="python")
+    )
+    numpy_access = RankedAccess(Preprocessing(padded_slp, padded_dfa, kernel="numpy"))
+    total = python_access.total
+    assert numpy_access.total == total > 2**64
+    for rank in (2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1, 2**64 + 5, total - 1):
+        assert numpy_access.select(rank) == python_access.select(rank)
+
+
+# -- level shapes ----------------------------------------------------------------
+
+
+@needs_numpy
+def test_levels_wider_than_one_batch(monkeypatch):
+    """A level split across several batches builds the same tables."""
+    from repro.core.kernels import numpy_kernel
+
+    spanner = key_value_spanner("action")
+    slp = repair_slp(server_log(40, seed=3))
+    padded_slp, padded_dfa = _dfa_pair(spanner, slp, "#")
+    q = padded_dfa.num_states
+    # Three rules' cubes a batch, so the wide levels are split.
+    monkeypatch.setattr(numpy_kernel, "BATCH_WORDS", 3 * q * q)
+    levels = Preprocessing(padded_slp, padded_dfa, kernel="python").levels
+    widest = max(hi - lo for lo, hi in zip(levels.bounds[1:], levels.bounds[2:]))
+    assert widest > 3
+    assert_kernels_bit_identical(padded_slp, padded_dfa)
+    # The evaluation path's NFA planes (its enumeration is slow to drain
+    # here, and the stream does not depend on the batching anyway).
+    nfa_pair = _nfa_pair(spanner, slp, "#")
+    assert (
+        Preprocessing(*nfa_pair, kernel="python").export_planes()
+        == Preprocessing(*nfa_pair, kernel="numpy").export_planes()
+    )
+
+
+@needs_numpy
+@pytest.mark.parametrize("run,states", [(58, 64), (59, 65)])
+def test_one_word_two_word_boundary(run, states):
+    """q = 64 fills one word per row exactly; q = 65 needs a second."""
+    spanner = compile_spanner(rf".*(?P<x>a{{{run}}}).*", alphabet="ab")
+    padded_slp, padded_dfa = _dfa_pair(spanner, power_slp("a", 7), "#")
+    assert padded_dfa.num_states == states
+    prep = assert_kernels_bit_identical(padded_slp, padded_dfa)
+    assert CountingTables(prep).total() == 128 - run + 1
+
+
+@needs_numpy
+def test_one_rule_per_level():
+    spanner = compile_spanner(PAIR_PATTERN, alphabet="ab")
+    padded_slp, padded_dfa = _dfa_pair(spanner, power_slp("ab", 12), "#")
+    prep = assert_kernels_bit_identical(padded_slp, padded_dfa)
+    bounds = prep.levels.bounds
+    assert all(hi - lo == 1 for lo, hi in zip(bounds[1:], bounds[2:]))
+
+
+@needs_numpy
+def test_leaf_only_and_one_rule_grammars():
+    spanner = compile_spanner(r".*(?P<x>a).*", alphabet="ab")
+    leaf_only = SLP({}, {"Ta": "a"}, "Ta")
+    _, padded_dfa = _dfa_pair(spanner, leaf_only, "#")
+    prep = assert_kernels_bit_identical(leaf_only, padded_dfa)
+    assert len(prep.levels) == 1 and prep.I == {}
+    one_rule = pad_slp(leaf_only, "#")
+    assert one_rule.num_inner == 1
+    prep = assert_kernels_bit_identical(one_rule, padded_dfa)
+    assert len(prep.levels) == 2
+    assert CountingTables(prep).total() == 1
+
+
+# -- observability ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kernel", available_kernels())
+def test_build_span_tags_and_histograms(kernel, tmp_path):
+    from repro.obs.metrics import MetricsRegistry, set_registry
+    from repro.obs.trace import Tracer, read_trace, set_tracer
+
+    spanner = compile_spanner(PAIR_PATTERN, alphabet="ab")
+    padded_slp, padded_dfa = _dfa_pair(spanner, power_slp("ab", 5), "#")
+    sink = str(tmp_path / "trace.jsonl")
+    registry = MetricsRegistry()
+    set_registry(registry)
+    set_tracer(Tracer(sink))
+    try:
+        prep = Preprocessing(padded_slp, padded_dfa, kernel=kernel)
+        CountingTables(prep)
+    finally:
+        set_tracer(None)
+        set_registry(None)
+    [span] = [r for r in read_trace(sink) if r["name"] == "kernel.build_planes"]
+    assert span["tags"] == {
+        "kernel": kernel,
+        "q": prep.q,
+        "rules": len(prep.order),
+        "levels": len(prep.levels),
+    }
+    histograms = registry.snapshot()["histograms"]
+    for stage in ("build_planes", "build_counts"):
+        assert sum(histograms[f"kernel.{kernel}.{stage}_seconds"]["counts"]) == 1

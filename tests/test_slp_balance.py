@@ -30,7 +30,7 @@ class TestBalance:
         assert flat.depth() <= depth_bound(flat.length())
 
     def test_size_blowup_at_most_log_factor(self):
-        """DESIGN.md §3: our substitute costs O(s log d), not O(s)."""
+        """repro.slp.balance: our substitute costs O(s log d), not O(s)."""
         deep = caterpillar_slp(4096)
         flat = balance(deep)
         log_d = math.log2(deep.length())
