@@ -155,6 +155,9 @@ class _NoopSpan:
     def finish(self) -> None:
         return None
 
+    def tag(self, **tags: Any) -> None:
+        return None
+
     def context(self, path: Optional[str] = None) -> Optional[TraceContext]:
         return None
 
@@ -193,6 +196,10 @@ class _OpenSpan:
     def context(self, path: Optional[str] = None) -> TraceContext:
         """Context for children; defaults the sink to this span's own."""
         return self.span.context(path if path is not None else self.sink)
+
+    def tag(self, **tags: Any) -> None:
+        """Add tags known only once the spanned work is done."""
+        self.span.tags.update(tags)
 
     def finish(self) -> None:
         if self.span.end is not None:  # already finished

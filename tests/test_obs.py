@@ -115,6 +115,41 @@ class TestTracer:
         assert read_trace(str(sink)) == [good]
 
 
+# -- paper-stage spans ---------------------------------------------------------
+
+
+class TestPhaseSpans:
+    def test_computation_span_carries_q_rules_triples_results(self, tmp_path):
+        """Thm 7.1 opens ``core.computation.compute`` (the name the
+        benchmark's per-layer attribution maps) with its size tags."""
+        from repro.engine import Engine
+        from repro.spanner.regex import compile_spanner
+
+        sink = str(tmp_path / "trace.jsonl")
+        engine = Engine()
+        spanner = compile_spanner(r"[bc]*(?P<x>a).*(?P<y>c+).*", alphabet="abc")
+        slp = balanced_slp("abcca" * 3)
+        set_tracer(Tracer(sink))
+        try:
+            result = engine.evaluate(spanner, slp)
+        finally:
+            set_tracer(None)
+        prep = engine.preprocessing(spanner, slp, deterministic=False)
+        [span] = [r for r in read_trace(sink) if r["name"] == "core.computation.compute"]
+        tags = span["tags"]
+        assert set(tags) == {"q", "rules", "triples", "results"}
+        assert tags["q"] == prep.q
+        assert tags["rules"] == len(prep.order)
+        assert tags["results"] == len(result) == 9
+        # Only R = 1 cells are tabled.
+        one_cells = sum(
+            bin(prep.one_row(name, i)).count("1")
+            for name in prep.order
+            for i in range(prep.q)
+        )
+        assert 0 < tags["triples"] <= one_cells
+
+
 # -- metrics merge ------------------------------------------------------------
 
 
