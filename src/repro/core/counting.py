@@ -24,7 +24,7 @@ count tuples reachable along several runs).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import EvaluationError
 from repro.obs.metrics import get_registry
@@ -52,11 +52,11 @@ class CountingTables:
     vectors are kernel-native: Python-int lists from the reference
     kernel; from the numpy kernel, float64 rows while every count is
     below 2**53 (where float64 is exact) and Python-int ``object`` rows
-    once counts outgrow that.  Every count is exact either way, and
-    :meth:`count` and :attr:`counts` normalise values with ``int()``, so
-    callers always get Python ints.  :attr:`counts` offers the historical
-    ``{(name, i, j): count}`` dict as a derived view for export and
-    persistence.
+    once counts outgrow that; restored from the store, ``uint64`` rows.
+    Every count is exact either way, and :meth:`count` and :attr:`counts`
+    normalise values with ``int()``, so callers always get Python ints.
+    :attr:`counts` offers the historical ``{(name, i, j): count}`` dict as
+    a derived view for export; the store persists :attr:`rows`.
     """
 
     __slots__ = ("prep", "_flat")
@@ -75,17 +75,19 @@ class CountingTables:
         ).observe(time.monotonic() - started)
 
     @property
-    def counts(self) -> Dict[Key, int]:
-        """``{(name, i, j): |M_A[i,j]|}`` over the notbot-set cells.
+    def rows(self) -> CountRows:
+        """nonterminal -> flat row-major ``q·q`` count vector (kernel-native)."""
+        return self._flat
 
-        A derived view (rebuilt per access) kept for export and the
-        store's persistence hook; hot-path consumers use :meth:`count`.
-        The key set is exactly the cells whose ``notbot`` bit is set —
-        the same canonical set the store serialises positionally.
+    def cells(self) -> Iterator[Tuple[Key, int]]:
+        """``((name, i, j), |M_A[i,j]|)`` over the notbot-set cells.
+
+        Names in ``prep.order``, each name's cells row-major.  The key set
+        is exactly the cells whose ``notbot`` bit is set — the same
+        canonical set the store serialises positionally.
         """
         prep = self.prep
         q = prep.q
-        out: Dict[Key, int] = {}
         for name in prep.order:
             row = self._flat.get(name)
             if row is None:
@@ -93,18 +95,25 @@ class CountingTables:
             for i in range(q):
                 base = i * q
                 for j in bits_list(prep.notbot_row(name, i)):
-                    out[(name, i, j)] = int(row[base + j])
-        return out
+                    yield (name, i, j), int(row[base + j])
+
+    @property
+    def counts(self) -> Dict[Key, int]:
+        """``{(name, i, j): |M_A[i,j]|}`` over the notbot-set cells.
+
+        A derived view (rebuilt per access) kept for export; hot-path
+        consumers use :meth:`count`, and the store encodes :attr:`rows`.
+        """
+        return dict(self.cells())
 
     @classmethod
-    def from_counts(
-        cls, prep: Preprocessing, counts: Dict[Key, int]
-    ) -> "CountingTables":
-        """Rebuild tables from a persisted ``counts`` mapping (no recompute).
+    def from_rows(cls, prep: Preprocessing, rows: CountRows) -> "CountingTables":
+        """Adopt per-name flat count vectors as they are (no recompute).
 
-        The restore hook of the preprocessing store: ``counts`` must have
-        been built for a structurally identical preprocessing with matching
-        nonterminal names.  The DFA requirement is still enforced.
+        The restore hook of the preprocessing store: ``rows`` maps every
+        name of ``prep`` to its flat row-major ``q·q`` vector of exact
+        counts, in any kernel's containers.  The DFA requirement is still
+        enforced.
         """
         if not prep.automaton.is_deterministic:
             raise EvaluationError(
@@ -112,6 +121,24 @@ class CountingTables:
             )
         obj = cls.__new__(cls)
         obj.prep = prep
+        obj._flat = rows
+        return obj
+
+    @classmethod
+    def from_counts(
+        cls, prep: Preprocessing, counts: Mapping[Key, int]
+    ) -> "CountingTables":
+        """Rebuild tables from a persisted ``counts`` mapping (no recompute).
+
+        ``counts`` must have been built for a structurally identical
+        preprocessing with matching nonterminal names.  A
+        :class:`CountsView` (what the store restores) hands over its
+        tables — or, for another preprocessing, their vectors — without
+        materialising a dict.  The DFA requirement is still enforced.
+        """
+        if isinstance(counts, CountsView):
+            tables = counts.tables
+            return tables if tables.prep is prep else cls.from_rows(prep, tables.rows)
         q = prep.q
         flat: Dict[object, List[int]] = {}
         for (name, i, j), value in counts.items():
@@ -119,8 +146,7 @@ class CountingTables:
             if row is None:
                 row = flat[name] = [0] * (q * q)
             row[i * q + j] = value
-        obj._flat = flat
-        return obj
+        return cls.from_rows(prep, flat)
 
     def count(self, name: object, i: int, j: int) -> int:
         row = self._flat.get(name)
@@ -133,6 +159,37 @@ class CountingTables:
             self.count(prep.slp.start, prep.automaton.start, j)
             for j in prep.final_states
         )
+
+
+class CountsView(Mapping[Key, int]):
+    """Read-only ``{(name, i, j): |M_A[i,j]|}`` view of :class:`CountingTables`.
+
+    What :meth:`repro.store.prepstore.PreprocessingStore.load` returns for
+    persisted counts: it equals the :attr:`CountingTables.counts` dict of
+    the same tables, and :meth:`CountingTables.from_counts` adopts the
+    underlying vectors directly, so a restore never builds the dict.
+    """
+
+    __slots__ = ("tables",)
+
+    def __init__(self, tables: CountingTables) -> None:
+        self.tables = tables
+
+    def __getitem__(self, key: Key) -> int:
+        name, i, j = key
+        prep = self.tables.prep
+        q = prep.q
+        if name not in prep.notbot or not (
+            0 <= i < q and 0 <= j < q and (prep.notbot_row(name, i) >> j) & 1
+        ):
+            raise KeyError(key)
+        return self.tables.count(name, i, j)
+
+    def __iter__(self) -> Iterator[Key]:
+        return (key for key, _ in self.tables.cells())
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self.tables.cells())
 
 
 class RankedAccess:

@@ -11,8 +11,11 @@ never cares how a bit-plane is laid out:
   behind compressed membership;
 * :meth:`Kernel.build_counts` — the counting-table recurrence
   (Lemmas 6.9/8.7), producing per-name flat ``i*q+j`` count vectors;
-* :meth:`Kernel.decode_words` — the ``.prep`` word-section codec of the
-  preprocessing store's restore path.
+* :meth:`Kernel.encode_rows` / :meth:`Kernel.decode_rows` (whole
+  planes) and :meth:`Kernel.encode_cells` / :meth:`Kernel.decode_cells`
+  (the ``notbot``-set cells of ``I`` and of the counts) — the codec of
+  the ``.prep`` store's fixed-width sections, built on
+  :meth:`Kernel.decode_words`, so the store itself stays numpy-free.
 
 **Layout contract.**  All kernels speak the same logical layout: per
 nonterminal ``A`` the matrix ``R_A`` is ``q`` *row bitmasks* (bit ``j`` of
@@ -46,11 +49,15 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
+from itertools import accumulate, chain
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
+    Iterable,
     List,
     Mapping,
+    Optional,
     Sequence,
     SupportsInt,
     Tuple,
@@ -181,6 +188,63 @@ class Kernel:
         """
         raise NotImplementedError
 
+    def encode_rows(
+        self,
+        planes: Mapping[object, Sequence[SupportsInt]],
+        names: Sequence[object],
+        row_words: int,
+    ) -> bytes:
+        """The containers ``planes[name]`` of ``names``, in order, as one
+        ``.prep`` word section: consecutive little-endian ``row_words``-word
+        fields.  Accepts any kernel's containers."""
+        raise NotImplementedError
+
+    def decode_rows(
+        self, buf: bytes, offset: int, count: int, width: int, row_words: int
+    ) -> Sequence[Sequence[SupportsInt]]:
+        """The inverse of :meth:`encode_rows`: ``count`` containers of
+        ``width`` row values each, read from one word section at
+        ``offset`` (callers bounds-check it); container ``t`` belongs to
+        the section's ``t``-th name."""
+        raise NotImplementedError
+
+    def encode_cells(
+        self,
+        values: Mapping[object, Sequence[SupportsInt]],
+        names: Sequence[object],
+        notbot: bytes,
+        q: int,
+        row_words: int,
+    ) -> Optional[bytes]:
+        """The ``notbot``-set cells of flat row-major ``q·q`` vectors, as
+        one ``.prep`` section of ``row_words``-word fields.
+
+        ``notbot`` is a notbot section (:meth:`encode_rows`) whose first
+        ``len(names)`` names are ``names``; the cells are taken name by
+        name, each name's row-major.  A name missing from ``values`` is 0
+        everywhere.  ``None`` when a value needs more than
+        ``64 · row_words`` bits.
+        """
+        raise NotImplementedError
+
+    def decode_cells(
+        self,
+        buf: bytes,
+        offset: int,
+        n_cells: int,
+        notbot_offset: int,
+        count: int,
+        q: int,
+        row_words: int,
+    ) -> "CellRows":
+        """The inverse of :meth:`encode_cells`: the ``count`` flat ``q·q``
+        vectors of the first ``count`` names of the notbot section at
+        ``notbot_offset``, the ``n_cells`` fields at ``offset`` scattered
+        into their set cells and 0 elsewhere.  Raises ``ValueError`` when
+        those names do not have exactly ``n_cells`` set cells; each vector
+        is decoded only when it is indexed."""
+        raise NotImplementedError
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
 
@@ -293,6 +357,122 @@ class PythonKernel(Kernel):
             from_bytes(buf[k : k + width], "little")
             for k in range(offset, end, width)
         ]
+
+    def encode_rows(
+        self,
+        planes: Mapping[object, Sequence[SupportsInt]],
+        names: Sequence[object],
+        row_words: int,
+    ) -> bytes:
+        values = chain.from_iterable(planes[name] for name in names)
+        if row_words == 1:
+            return _u64_bytes(map(int, values))
+        width = row_words * 8
+        return b"".join(int(value).to_bytes(width, "little") for value in values)
+
+    def decode_rows(
+        self, buf: bytes, offset: int, count: int, width: int, row_words: int
+    ) -> List[List[int]]:
+        values = self.decode_words(buf, offset, count * width, row_words)
+        return [values[k : k + width] for k in range(0, count * width, width)]
+
+    def encode_cells(
+        self,
+        values: Mapping[object, Sequence[SupportsInt]],
+        names: Sequence[object],
+        notbot: bytes,
+        q: int,
+        row_words: int,
+    ) -> Optional[bytes]:
+        rows = self.decode_words(notbot, 0, len(names) * q, (q + 63) // 64)
+        cells: List[int] = []
+        for k, name in enumerate(names):
+            flat = values.get(name)
+            for i in range(q):
+                bits = rows[k * q + i]
+                if bits:
+                    base = i * q
+                    cells.extend(
+                        0 if flat is None else int(flat[base + j])
+                        for j in bits_list(bits)
+                    )
+        if cells and max(cells) >> (64 * row_words):
+            return None
+        if row_words == 1:
+            return _u64_bytes(cells)
+        width = row_words * 8
+        return b"".join(value.to_bytes(width, "little") for value in cells)
+
+    def decode_cells(
+        self,
+        buf: bytes,
+        offset: int,
+        n_cells: int,
+        notbot_offset: int,
+        count: int,
+        q: int,
+        row_words: int,
+    ) -> "CellRows":
+        rows = self.decode_words(buf, notbot_offset, count * q, (q + 63) // 64)
+        sizes = (
+            sum(int(bits).bit_count() for bits in rows[t * q : (t + 1) * q])
+            for t in range(count)
+        )
+        offsets = [0, *accumulate(sizes)]
+        if offsets[-1] != n_cells:
+            raise ValueError("cell section does not match the notbot cells")
+        width = row_words * 8
+
+        def decode_row(t: int, lo: int, hi: int) -> List[int]:
+            values = self.decode_words(buf, offset + lo * width, hi - lo, row_words)
+            flat = [0] * (q * q)
+            k = 0
+            for i in range(q):
+                bits = rows[t * q + i]
+                if bits:
+                    base = i * q
+                    for j in bits_list(bits):
+                        flat[base + j] = values[k]
+                        k += 1
+            return flat
+
+        return CellRows(decode_row, offsets)
+
+
+class CellRows:
+    """The flat ``q·q`` vectors of a decoded cell section, by position.
+
+    Holds where each vector's cells start (``offsets``, one more than
+    there are vectors) and decodes vector ``t`` — the cells
+    ``offsets[t]:offsets[t + 1]`` scattered into a zero vector — only when
+    it is indexed, so a caller that reads a few vectors pays for those
+    alone.
+    """
+
+    __slots__ = ("_decode_row", "_offsets")
+
+    def __init__(
+        self,
+        decode_row: Callable[[int, int, int], Sequence[SupportsInt]],
+        offsets: List[int],
+    ) -> None:
+        self._decode_row = decode_row
+        self._offsets = offsets
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
+
+    def __getitem__(self, t: int) -> Sequence[SupportsInt]:
+        if not 0 <= t < len(self._offsets) - 1:
+            raise IndexError(t)
+        return self._decode_row(t, self._offsets[t], self._offsets[t + 1])
+
+
+def _u64_bytes(values: Iterable[int]) -> bytes:
+    """``values`` (each below 2**64) as consecutive little-endian u64 words."""
+    if _LITTLE_ENDIAN:
+        return array("Q", values).tobytes()  # one C call
+    return b"".join(value.to_bytes(8, "little") for value in values)
 
 
 #: The shared reference instance (kernels are stateless).

@@ -6,21 +6,28 @@ numpy.
 
 **Layout.**  A plane of ``n`` rows over ``q`` states is an
 ``(n, row_words)`` array of ``uint64`` words, ``row_words = ceil(q/64)``,
-word ``w`` of row ``i`` holding bits ``64·w .. 64·w+63`` little-endian —
-bit-for-bit the layout of the ``.prep`` store's word sections
-(:mod:`repro.store.prepstore` ``_pack_words``), which is what makes the
-restore path a zero-copy ``np.frombuffer`` view.  The build holds the
-``notbot`` and ``one`` planes of *all* rules, and their transposes (the
-column planes), as four contiguous ``(n_rules, q, row_words)`` arrays,
-plus one ``(n_inner, q, q, row_words)`` array for ``I``.  A rule's index
-in them is its slot in the preprocessing's
-:class:`~repro.core.kernels.base.RuleLevels`, so the rules of one level
-are one contiguous slice.  The per-name containers handed to
-:class:`~repro.core.matrices.Preprocessing` are views into these arrays:
-1-D ``uint64`` rows for ``q <= 64`` (``row_words == 1``), whose scalars
-the accessors normalise with ``int()``; wider automata are materialised
-to Python bigint rows after the build, so every consumer sees the same
-logical values either way.
+word ``w`` of row ``i`` holding bits ``64·w .. 64·w+63`` little-endian.
+The build holds the ``notbot`` and ``one`` planes of *all* rules, and
+their transposes (the column planes), as four contiguous
+``(n_rules, q, row_words)`` arrays, plus one ``(n_inner, q, q,
+row_words)`` array for ``I``.  A rule's index in them is its slot in the
+preprocessing's :class:`~repro.core.kernels.base.RuleLevels`, so the
+rules of one level are one contiguous slice.  The per-name containers
+handed to :class:`~repro.core.matrices.Preprocessing` are views into
+these arrays: 1-D ``uint64`` rows for ``q <= 64`` (``row_words == 1``),
+whose scalars the accessors normalise with ``int()``; wider automata are
+materialised to Python bigint rows after the build, so every consumer
+sees the same logical values either way.
+
+The ``notbot`` and ``one`` sections of a ``.prep`` v2 entry
+(:mod:`repro.store.prepstore`) are bit-for-bit these
+``(n_rules, q, row_words)`` arrays, with the rules in the store's section
+order instead of slot order: :meth:`NumpyKernel.encode_rows` writes one
+with a single gather and ``tobytes``, and :meth:`NumpyKernel.decode_rows`
+restores it as one zero-copy ``np.frombuffer`` view whose rows become the
+per-name containers.  The ``I`` and counts sections hold the ``I`` masks
+and the counts of the set ``notbot`` cells only, gathered and scattered
+with one boolean mask unpacked from the notbot section.
 
 **The Lemma 6.5 build**, one level at a time.  For the rules
 ``A -> B C`` of a level, gathered into ``L``-long index vectors, the
@@ -55,6 +62,8 @@ from typing import (
     TYPE_CHECKING,
     Iterator,
     List,
+    Mapping,
+    Optional,
     Sequence,
     SupportsInt,
     Tuple,
@@ -64,6 +73,7 @@ from typing import (
 import numpy as np
 
 from repro.core.kernels.base import (
+    CellRows,
     CountRows,
     Kernel,
     Planes,
@@ -278,3 +288,94 @@ class NumpyKernel(Kernel):
             return np.frombuffer(buf, dtype=WORD, count=count, offset=offset)
         # Multi-word rows are Python bigints either way; share the codec.
         return PYTHON_KERNEL.decode_words(buf, offset, count, row_words)
+
+    def encode_rows(
+        self,
+        planes: Mapping[object, Sequence[SupportsInt]],
+        names: Sequence[object],
+        row_words: int,
+    ) -> bytes:
+        if row_words != 1:
+            return PYTHON_KERNEL.encode_rows(planes, names, row_words)
+        # One gather into canonical order (ndarray views or int lists
+        # alike), one tobytes.
+        return np.array([planes[name] for name in names], dtype=WORD).tobytes()
+
+    def decode_rows(
+        self, buf: bytes, offset: int, count: int, width: int, row_words: int
+    ) -> Sequence[Sequence[SupportsInt]]:
+        if row_words != 1:
+            return PYTHON_KERNEL.decode_rows(buf, offset, count, width, row_words)
+        # Zero-copy: iterating the 2-D view yields one row view per name.
+        words = np.frombuffer(buf, dtype=WORD, count=count * width, offset=offset)
+        return words.reshape(count, width)
+
+    def encode_cells(
+        self,
+        values: Mapping[object, Sequence[SupportsInt]],
+        names: Sequence[object],
+        notbot: bytes,
+        q: int,
+        row_words: int,
+    ) -> Optional[bytes]:
+        rows = [values.get(name) for name in names]
+        if row_words != 1 or not all(isinstance(row, np.ndarray) for row in rows):
+            return PYTHON_KERNEL.encode_cells(values, names, notbot, q, row_words)
+        cells = np.stack(rows).reshape(len(names), q * q)
+        cells = cells[_cell_mask(notbot, 0, len(names), q)]
+        # float64 counts are exact (each below 2**53); object counts are
+        # Python ints of any size.
+        if cells.dtype == object and cells.size and cells.max() >> 64:
+            return None
+        return cells.astype(WORD).tobytes()
+
+    def decode_cells(
+        self,
+        buf: bytes,
+        offset: int,
+        n_cells: int,
+        notbot_offset: int,
+        count: int,
+        q: int,
+        row_words: int,
+    ) -> CellRows:
+        if row_words != 1:
+            return PYTHON_KERNEL.decode_cells(
+                buf, offset, n_cells, notbot_offset, count, q, row_words
+            )
+        notbot_words = (q + 63) // 64
+        words = np.frombuffer(
+            buf, dtype=WORD, count=count * q * notbot_words, offset=notbot_offset
+        ).reshape(count, q, notbot_words)
+        # Bits past q in a row are always clear, so count every bit.
+        sizes = _popcount(words).reshape(count, -1).sum(axis=1, dtype=np.int64)
+        offsets: List[int] = [0, *np.cumsum(sizes).tolist()]
+        if offsets[-1] != n_cells:
+            raise ValueError("cell section does not match the notbot cells")
+        values = np.frombuffer(buf, dtype=WORD, count=n_cells, offset=offset)
+
+        def decode_row(t: int, lo: int, hi: int) -> np.ndarray:
+            out = np.zeros(q * q, dtype=WORD)
+            out[_unpack_bits(words[t], q).reshape(q * q).astype(bool)] = values[lo:hi]
+            return out
+
+        return CellRows(decode_row, offsets)
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """The number of set bits of every word."""
+    if hasattr(np, "bitwise_count"):  # numpy >= 2.0
+        return np.bitwise_count(words)
+    return _BYTE_POPCOUNT[words.view(np.uint8)]
+
+
+_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _cell_mask(buf: bytes, offset: int, count: int, q: int) -> np.ndarray:
+    """The set cells of ``count`` names' notbot section at ``offset``, as
+    a ``(count, q·q)`` boolean mask (cell ``i·q + j`` is bit ``j`` of row ``i``)."""
+    row_words = (q + 63) // 64
+    words = np.frombuffer(buf, dtype=WORD, count=count * q * row_words, offset=offset)
+    bits = _unpack_bits(words.reshape(count * q, row_words), q)
+    return bits.reshape(count, q * q).astype(bool)

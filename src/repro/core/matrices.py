@@ -47,6 +47,7 @@ Total time ``O(|M| + size(S) · q^2)`` word operations (the paper states
 from __future__ import annotations
 
 import time
+from itertools import filterfalse
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.errors import EvaluationError
@@ -266,6 +267,7 @@ class Preprocessing:
         automaton: SpannerNFA,
         planes: Dict[str, Any],
         kernel: Union[None, str, Kernel] = None,
+        order: Optional[List[Any]] = None,
     ) -> "Preprocessing":
         """Rebuild a :class:`Preprocessing` from :meth:`export_planes` output.
 
@@ -276,7 +278,10 @@ class Preprocessing:
         is validated, the table *contents* are trusted.  Plane containers
         may be in any kernel's layout (the accessors normalise); ``kernel``
         records the backend that decoded them and steers later derived
-        builds (e.g. counting tables).
+        builds (e.g. counting tables).  ``order`` is a children-before-
+        parents list of exactly the reachable nonterminals, when the caller
+        already has one (the store passes ``slp.canonical_order()``);
+        by default it is derived from ``slp``.
         """
         if automaton.has_epsilon:
             raise EvaluationError("preprocessing requires an ε-free automaton")
@@ -290,18 +295,31 @@ class Preprocessing:
         obj.one = planes["one"]
         obj.I = planes["I"]
         obj.final_states = list(planes["final_states"])
-        reachable = slp.reachable()
-        obj.order = [n for n in slp.topological_order() if n in reachable]
+        if order is None:
+            reachable = slp.reachable()
+            order = [n for n in slp.topological_order() if n in reachable]
+        obj.order = order
         obj._levels = None
-        for name in obj.order:
-            if name not in obj.notbot or name not in obj.one:
-                raise EvaluationError(f"imported planes miss nonterminal {name!r}")
-            if slp.is_leaf(name):
-                if name not in obj.leaf_tables:
-                    raise EvaluationError(f"imported planes miss leaf table {name!r}")
-            elif name not in obj.I:
-                raise EvaluationError(f"imported planes miss I-vector of {name!r}")
+        is_leaf = slp.leaf_rules.__contains__
+        leaves = list(filter(is_leaf, order))
+        inner = list(filterfalse(is_leaf, order))
+        _require(obj.notbot, order, "nonterminal")
+        _require(obj.one, order, "nonterminal")
+        _require(obj.leaf_tables, leaves, "leaf table")
+        _require(obj.I, inner, "I-vector of")
         return obj
+
+
+def _require(tables: Mapping[object, Any], names: List[object], what: str) -> None:
+    """Raise unless ``tables`` covers every name (one C-level scan).
+
+    A container that decodes its entries on first use (the store's) may
+    answer for all names at once through a ``covers(names)`` method.
+    """
+    covers = getattr(tables, "covers", None)
+    if not (covers(names) if covers is not None else all(map(tables.__contains__, names))):
+        name = next(name for name in names if name not in tables)
+        raise EvaluationError(f"imported planes miss {what} {name!r}")
 
 
 def preprocess(

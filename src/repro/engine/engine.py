@@ -49,7 +49,7 @@ from repro.spanner.spans import SpanTuple
 from repro.spanner.transform import END_SYMBOL
 
 from repro.core.computation import compute_marker_sets
-from repro.core.counting import CountingTables, RankedAccess
+from repro.core.counting import CountingTables, CountsView, RankedAccess
 from repro.core.enumeration import enumerate_marker_sets
 from repro.core.kernels import Kernel, resolve_kernel
 from repro.core.matrices import Preprocessing
@@ -69,10 +69,6 @@ from repro.engine.cache import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> core -> slp)
     from repro.store.prepstore import PreprocessingStore, StoreStats
-
-#: One (variables, start, end) -> count table as persisted by the store.
-_Counts = Dict[Tuple[object, int, int], int]
-
 
 class Engine:
     """Batch spanner evaluation with cross-query work sharing.
@@ -206,21 +202,13 @@ class Engine:
         if deterministic and span.padded_dfa is span.padded_nfa:
             deterministic = False  # already a DFA: share one cache entry
 
-        restored_counts: List[_Counts] = []
+        restored_counts: List[CountsView] = []
 
         def build() -> Preprocessing:
             doc = self._document(slp)
             automaton = span.padded_dfa if deterministic else span.padded_nfa
-            tracer = get_tracer()
             if self.store is not None:
-                with tracer.span("engine.store_restore", kernel=self.kernel.name):
-                    restored = self.store.load(
-                        slp.structural_digest(),
-                        automaton.structural_digest(),
-                        doc.padded,
-                        automaton,
-                        kernel=self.kernel,
-                    )
+                restored = self._restore(slp, doc.padded, automaton)
                 if restored is not None:
                     prep, counts = restored
                     if counts is not None:
@@ -228,7 +216,7 @@ class Engine:
                     return prep
             registry = get_registry()
             started = time.monotonic()
-            with tracer.span("engine.kernel_build", kernel=self.kernel.name):
+            with get_tracer().span("engine.kernel_build", kernel=self.kernel.name):
                 prep = Preprocessing(doc.padded, automaton, kernel=self.kernel)
             registry.counter("engine.prep_builds").inc()
             registry.histogram("engine.build_seconds", TIME_BUCKETS).observe(
@@ -251,6 +239,36 @@ class Engine:
                 entry.prep, restored_counts[0]
             )
         return entry
+
+    def _restore(
+        self, slp: SLP, padded: SLP, automaton: SpannerNFA
+    ) -> Optional[Tuple[Preprocessing, Optional[CountsView]]]:
+        """One store read inside an ``engine.store_restore`` span, tagged
+        with the bytes read, ``q``, the rule count, whether counts came
+        along and the outcome (``hit``, ``miss`` or ``reject``)."""
+        assert self.store is not None
+        stats = self.store.stats
+        misses, bytes_read = stats.misses, stats.bytes_read
+        with get_tracer().span("engine.store_restore", kernel=self.kernel.name) as span:
+            restored = self.store.load(
+                slp.structural_digest(),
+                automaton.structural_digest(),
+                padded,
+                automaton,
+                kernel=self.kernel,
+            )
+            if restored is not None:
+                outcome = "hit"
+            else:
+                outcome = "miss" if stats.misses > misses else "reject"
+            span.tag(
+                bytes=stats.bytes_read - bytes_read,
+                q=automaton.num_states,
+                rules=len(padded.canonical_order()),
+                counts="present" if restored and restored[1] is not None else "absent",
+                outcome=outcome,
+            )
+        return restored
 
     def preprocessing(
         self, spanner: SpannerNFA, slp: SLP, deterministic: bool = False
@@ -300,6 +318,27 @@ class Engine:
             entry.counting = CountingTables.from_counts(entry.prep, counts)
         return True
 
+    def in_store(
+        self, spanner: SpannerNFA, slp: SLP, deterministic: bool = False
+    ) -> bool:
+        """Whether the store holds the pair's tables, from a header read.
+
+        Decodes nothing and builds nothing
+        (:meth:`~repro.store.prepstore.PreprocessingStore.has`): the
+        priming hook that asks "is this pair already paid for?" per
+        corpus digest.  ``False`` without a store.
+        """
+        if self.store is None:
+            return False
+        span = self._spanner(spanner)
+        automaton = span.padded_dfa if deterministic else span.padded_nfa
+        return self.store.has(
+            slp.structural_digest(),
+            automaton.structural_digest(),
+            self._document(slp).padded,
+            automaton,
+        )
+
     def _counting_tables(self, spanner: SpannerNFA, slp: SLP) -> CountingTables:
         # Stored on the preprocessing entry so both evict together and the
         # preprocessing cache's maxsize really bounds live table memory.
@@ -314,7 +353,7 @@ class Engine:
                     slp.structural_digest(),
                     entry.prep.automaton.structural_digest(),
                     entry.prep,
-                    entry.counting.counts,
+                    entry.counting,
                 )
         else:
             self._counting_hits += 1

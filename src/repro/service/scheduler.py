@@ -823,11 +823,17 @@ class FleetScheduler:
         registry.gauge("scheduler.inflight_shards").set(max(inflight, 0))
         for name, value in self._stats.as_dict().items():
             registry.counter(f"scheduler.{name}").value = value
-        workers = self.fleet._worker_snapshot()
+        # One liveness pass: a worker that died but is not replaced yet
+        # must be missing from both the pids and the alive count.
+        pids = [
+            w.process.pid
+            for w in self.fleet._worker_snapshot()
+            if w.process.exitcode is None
+        ]
         self._snapshot = {
             "jobs": self.fleet.jobs,
-            "alive": sum(1 for w in workers if w.process.exitcode is None),
-            "pids": [w.process.pid for w in workers],
+            "alive": len(pids),
+            "pids": pids,
             "scheduler": scheduler,
         }
 

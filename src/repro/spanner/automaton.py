@@ -105,6 +105,11 @@ class SpannerNFA:
                 for target in sorted(targets):
                     yield state, symbol, target
 
+    def transition_table(self) -> Dict[int, Dict[object, FrozenSet[int]]]:
+        """A copy of ``state -> {symbol -> successors}`` (the successor sets
+        are shared: they are immutable)."""
+        return {state: dict(by_symbol) for state, by_symbol in self._delta.items()}
+
     def symbols(self) -> Set[object]:
         """All symbols appearing on arcs (excluding ε)."""
         out: Set[object] = set()

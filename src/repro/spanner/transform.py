@@ -10,7 +10,7 @@ marker-discipline validator used to sanity-check user-built automata.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Set
 
 from repro.errors import AutomatonError, GrammarError
 from repro.slp.grammar import SLP
@@ -32,10 +32,7 @@ def pad_spanner(automaton: SpannerNFA, end_symbol: str = END_SYMBOL) -> SpannerN
     if end_symbol in automaton.sigma:
         raise AutomatonError(f"end symbol {end_symbol!r} already used by the automaton")
     fresh = automaton.num_states
-    transitions: Dict[int, Dict[object, FrozenSet[int]]] = {}
-    for source, symbol, target in automaton.arcs():
-        row = transitions.setdefault(source, {})
-        row[symbol] = row.get(symbol, frozenset()) | {target}
+    transitions = automaton.transition_table()
     for f in automaton.accepting:
         row = transitions.setdefault(f, {})
         row[end_symbol] = row.get(end_symbol, frozenset()) | {fresh}

@@ -16,42 +16,64 @@ filename: a stale-version entry occupies the same path, is rejected on
 load (never misread) and is overwritten in place by the rebuild — so a
 version bump recycles the directory rather than orphaning old files.
 
-Payload layout (``repro-prep`` v1, little-endian, uvarint = unsigned
-LEB128)::
+Payload layout (``repro-prep`` v2, little-endian, uvarint = unsigned
+LEB128, pad8 = zero bytes up to the next multiple of 8 from the start of
+the payload, row_words = ceil(q / 64), a *field* = row_words u64 words).
+The per-name sections list the names in *section order*: the inner
+nonterminals, then the leaves, each group in the padded SLP's canonical
+order::
 
-    magic b"rPREP\\x00" | u16 version | 16B padded-SLP digest |
-    16B automaton digest | u32 q | u32 n_names |
+    header (48 bytes): magic b"rPREP\x00" | u16 version |
+        16B padded-SLP digest | 16B automaton digest | u32 q | u32 n_names |
     final_states: uvarint count, uvarint each |
-    kinds: n_names bytes (0 = leaf, 1 = inner), in the padded SLP's
-        canonical order (used below and validated against the live SLP) |
-    planes section: per nonterminal in canonical order, the notbot plane
-        (q rows) then the one plane (q rows); every row is a fixed-width
-        field of row_words = ceil(q / 64) little-endian u64 words |
-    I section: per *inner* nonterminal in canonical order, the dense
-        intermediate-state vector — q*q fields of row_words words,
-        row-major, mirroring the in-memory flat layout |
-    leaf-table section: per *leaf* nonterminal in canonical order:
+    kinds: n_names bytes (0 = leaf, 1 = inner) in canonical order
+        (validated against the live SLP; they fix the section order) |
+    pad8 |
+    notbot section: n_names x q fields in section order, row i of a name
+        holding bit j iff R_A[i,j] != bot |
+    one section: the same shape, bit j iff R_A[i,j] = 1 |
+    I section: u64 n, then n fields: the masks I_A[i,j] of the set notbot
+        cells of the inner names, name by name, each name's row-major |
+    leaf-table section: per leaf in section order:
         uvarint n_entries; per entry uvarint i, uvarint j,
         uvarint n_marker_sets; per set uvarint n_pairs; per pair
         uvarint position, uvarint len + UTF-8 var, u8 kind |
-    counting tables: u8 present flag; if 1, positional: per nonterminal
-        in canonical order, per set bit (i, j) of its notbot plane in
-        row-major order, uvarint |M_A[i,j]| — the keys are implicit in
-        the notbot planes, so no per-entry key bytes are spent |
+    counts: u8 tag — 0: absent; 1: pad8 | u64 n | n u64 counts
+        |M_A[i,j]| of the set notbot cells of every name, name by name,
+        each name's row-major; 2: the same counts as positional uvarints
+        (used when some count is >= 2**64) |
     u32 CRC-32 of every preceding byte
 
-The word-aligned sections are the restore hot path, and their codec is
-the active kernel backend's (:mod:`repro.core.kernels`,
-``Kernel.decode_words``): the reference kernel decodes each section with
-a single C-level ``array('Q').frombytes`` + per-name list slices instead
-of per-entry Python arithmetic; the numpy kernel goes further and
-attaches read-only ``np.frombuffer`` uint64 views *straight into the
-payload bytes* — zero copies and zero per-row Python objects (the word
-sections are little-endian u64 fields, i.e. already in the numpy
-kernel's native plane layout).  Either way the bulk decode —
-O(size(S) · q²) *bytes* moved but only O(size(S)) Python operations — is
-what lets a store-backed cold start beat re-running the
-O(size(S) · q²) Lemma 6.5 recurrence by a wide margin.
+The word sections are fixed-width arrays, and their codec is the active
+kernel backend's (:mod:`repro.core.kernels`), so this module stays
+numpy-free.  ``notbot`` and ``one`` are written with one gather and
+``tobytes`` (:meth:`~repro.core.kernels.base.Kernel.encode_rows`) and
+restored with one :meth:`~repro.core.kernels.base.Kernel.decode_rows`,
+whose rows the per-name containers hand out; under the numpy kernel each
+row is a read-only ``np.frombuffer`` view *into the payload bytes*.  ``I``
+and the counts keep only the set notbot cells, whose positions the notbot
+section already implies: a deterministic automaton sets about q of a
+name's q² cells, so a dense ``I`` would be mostly zero words.  They are
+written by one boolean-mask gather and restored by one scatter into a
+``(names, q·q)`` array (:meth:`~repro.core.kernels.base.Kernel.encode_cells`,
+:meth:`~repro.core.kernels.base.Kernel.decode_cells`), which
+:class:`~repro.core.counting.CountingTables` adopts as it is — no
+``{(name, i, j): count}`` dict either way.
+
+A restore validates the whole payload up front — CRC, digests, ``q``,
+kinds, every section's bounds and cell count, no trailing bytes — but
+decodes a section only when a name of it is first looked up: a count
+served from restored counting tables decodes the counts and nothing else.
+That keeps a restore at O(size(S)) Python operations over at most
+O(size(S) · q²) bytes (about O(size(S) · q) for a deterministic
+automaton), which is what lets a store-backed cold start beat
+re-running the O(size(S) · q²) Lemma 6.5 recurrence.
+
+:meth:`PreprocessingStore.has` answers "is this pair stored?" from the
+48-byte header alone (magic, version, both digests, q) — what store
+priming asks per corpus digest.  A corrupt body behind a good header is
+still caught by the CRC-checked :meth:`PreprocessingStore.load` of
+whoever needs the tables, quarantined and rebuilt.
 
 Nonterminal *names* are never stored.  Tables are indexed by position in
 the padded SLP's :meth:`~repro.slp.grammar.SLP.canonical_order`, which is
@@ -61,8 +83,8 @@ grammar's and automaton's digests and :meth:`load` re-derives both from
 the live objects: any mismatch — a different balancer, another end
 symbol, a colliding key — is a miss, never a wrong answer.
 
-Corruption (truncation, bit-flips, stale versions) is handled by
-rebuilding: :meth:`load` returns ``None`` and counts a
+Corruption (truncation, bit-flips, trailing bytes, stale versions) is
+handled by rebuilding: :meth:`load` returns ``None`` and counts a
 :attr:`StoreStats.rejects`; it never raises on a bad file.  A *corrupt*
 entry (bad magic, truncated, CRC mismatch) is additionally
 **quarantined** — renamed aside to ``<name>.prep.quarantined`` and
@@ -83,41 +105,53 @@ import errno
 import hashlib
 import os
 import struct
-import sys
 import warnings
 import zlib
-from array import array
 from dataclasses import dataclass
+from itertools import compress
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
+    Mapping,
     NamedTuple,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
 
+from repro.core.counting import CountingTables, CountsView, Key
 from repro.core.kernels import Kernel, resolve_kernel
+from repro.core.kernels.base import CellRows, CountRows, PlaneRows
+from repro.core.matrices import Preprocessing
 from repro.faults import fault_point, mangle
 from repro.obs.metrics import BYTE_BUCKETS, get_registry
-from repro.core.kernels.base import PlaneRows
-from repro.core.matrices import Preprocessing
 from repro.slp.grammar import SLP
 from repro.spanner.automaton import SpannerNFA
 from repro.spanner.markers import CLOSE, OPEN, Marker, Pairs
 
-from repro.store.binary import _read_uvarint, _write_uvarint
+from repro.store.binary import _write_uvarint
 
 MAGIC = b"rPREP\x00"
-STORE_FORMAT_VERSION = 1
+STORE_FORMAT_VERSION = 2
 
 _HEAD = struct.Struct("<6sH16s16sII")
 _CRC = struct.Struct("<I")
-#: The fast word codec uses native array('Q'); big-endian hosts take the
-#: portable int.to_bytes/from_bytes path so files stay little-endian.
-_LITTLE_ENDIAN = sys.byteorder == "little"
+_U64 = struct.Struct("<Q")
+
+#: The counts section's tag byte.
+_COUNTS_ABSENT, _COUNTS_U64, _COUNTS_UVARINT = 0, 1, 2
+
+#: A decoded section: per-name containers, by position in section order.
+_Rows = Union[Sequence[Any], CellRows]
+
+#: What :meth:`PreprocessingStore.save` persists as counting tables: the
+#: tables themselves, or (for callers holding only the historical dict)
+#: any ``{(name, i, j): count}`` mapping over the notbot-set cells.
+Counts = Union[CountingTables, Mapping[Key, int]]
 
 
 @dataclass
@@ -129,6 +163,7 @@ class StoreStats:
     rejects: int = 0  # present but stale/corrupt/mismatched -> rebuilt
     writes: int = 0
     quarantined: int = 0  # corrupt entries renamed aside (self-healing)
+    bytes_read: int = 0  # payload bytes read by load, hits and rejects
 
 
 class _Reader:
@@ -142,7 +177,7 @@ class _Reader:
         self.end = end
 
     def uvarint(self) -> int:
-        # _read_uvarint inlined: this is called per count/leaf entry.
+        # _read_uvarint inlined: this is called per leaf-table entry.
         buf, pos, end = self.buf, self.pos, self.end
         value = 0
         shift = 0
@@ -164,81 +199,101 @@ class _Reader:
         self.pos += 1
         return value
 
-    def raw(self, length: int) -> bytes:
-        if self.pos + length > self.end:
+    def skip(self, length: int) -> int:
+        """Advance over ``length`` bytes without copying; their offset."""
+        start = self.pos
+        if start + length > self.end:
             raise ValueError("truncated payload")
-        out = self.buf[self.pos : self.pos + length]
-        self.pos += length
-        return out
+        self.pos = start + length
+        return start
+
+    def raw(self, length: int) -> bytes:
+        start = self.skip(length)
+        return self.buf[start : self.pos]
+
+    def align(self) -> None:
+        """Skip the padding up to the next multiple of 8."""
+        self.skip(-self.pos % 8)
+
+    def u64(self) -> int:
+        return int(_U64.unpack_from(self.buf, self.skip(_U64.size))[0])
 
 
-def _pack_words(values: Any, row_words: int) -> bytes:
-    """``values`` as consecutive little-endian ``row_words``-word fields.
+def _align(out: bytearray) -> None:
+    out += bytes(-len(out) % 8)
 
-    Accepts int lists as well as kernel-native word arrays: anything with
-    a ``tobytes`` method (a numpy uint64 plane, whose memory *is* this
-    format on little-endian hosts) is serialised with one C call.
+
+#: Maps a kinds byte 0 <-> 1, so ``compress`` can select the leaves.
+_NOT = bytes([1, 0]) + bytes(254)
+
+
+def _kinds(slp: SLP, order: Sequence[object]) -> bytes:
+    """One byte per name of ``order``: 0 for a leaf, 1 for an inner rule."""
+    return bytes(map(slp.inner_rules.__contains__, order))
+
+
+class _LazyRows(Dict[object, Any]):
+    """The per-name containers of one section, decoded on first lookup.
+
+    A restore validates every section but only records how to decode it;
+    the first lookup of a name runs the section's decode (the plane
+    sections decode whole — under the numpy kernel, one zero-copy view —
+    and the cell sections only the looked-up vector), so a section a task
+    never reads costs nothing: a count served from restored counting
+    tables decodes one counts vector and no plane.  Looked-up containers
+    are memoised in the dict itself, so steady-state access is a plain
+    dict lookup and the dict's own keys are the names actually used;
+    membership covers every name of the section.
     """
-    if _LITTLE_ENDIAN:
-        if hasattr(values, "tobytes"):  # kernel-native word array
-            return values.tobytes()
-        if row_words == 1:
-            return array("Q", values).tobytes()  # one C call
-    width = row_words * 8
-    return b"".join(int(value).to_bytes(width, "little") for value in values)
 
+    __slots__ = ("_index", "_decode", "_rows")
 
-class _LazyIVectors(Dict[object, Any]):
-    """Intermediate-state vectors decoded per nonterminal on first access.
-
-    Counting and ranked access never touch ``I`` after a restore (the
-    counts are persisted too), and evaluation/enumeration touch only the
-    nonterminals they actually descend through — so the restore path
-    keeps a reference into the payload bytes and pays the q²-word decode
-    per name on demand instead of up front (with the numpy kernel the
-    "decode" is a zero-copy ``np.frombuffer`` view).  Decoded vectors are
-    memoised in the dict itself, so steady-state access is a plain dict
-    lookup.
-    """
-
-    __slots__ = ("_buf", "_base", "_index", "_row_words", "_cells", "_decode")
-
-    def __init__(
-        self,
-        buf: bytes,
-        base: int,
-        inners: List[object],
-        row_words: int,
-        cells: int,
-        decode: Callable[[bytes, int, int, int], Any],
-    ) -> None:
+    def __init__(self, index: Dict[object, int], decode: Callable[[], _Rows]) -> None:
         super().__init__()
-        self._buf = buf
-        self._base = base
-        self._index = {name: t for t, name in enumerate(inners)}
-        self._row_words = row_words
-        self._cells = cells
-        self._decode = decode
+        self._index = index
+        self._decode: Optional[Callable[[], _Rows]] = decode
+        self._rows: _Rows = ()
 
     def __missing__(self, name: object) -> Any:
         t = self._index[name]  # unknown name -> KeyError, as a dict would
-        field = self._cells * self._row_words * 8
-        values = self._decode(
-            self._buf, self._base + t * field, self._cells, self._row_words
-        )
-        self[name] = values
-        return values
+        if self._decode is not None:
+            self._rows = self._decode()
+            self._decode = None
+        value = self._rows[t]
+        self[name] = value
+        return value
 
     def __contains__(self, name: object) -> bool:
-        return dict.__contains__(self, name) or name in self._index
+        return name in self._index
+
+    def get(self, name: object, default: Any = None) -> Any:
+        return self[name] if name in self._index else default
+
+    def covers(self, names: List[object]) -> bool:
+        """Whether every one of ``names`` is in the section."""
+        return self._index.keys() >= set(names)
 
 
-def _encode_prep(
-    prep: Preprocessing, counts: Optional[Dict[Tuple[object, int, int], int]]
-) -> bytes:
+def _notbot_cells(
+    notbot: Mapping[object, PlaneRows], name: object, q: int
+) -> Iterator[Tuple[int, int]]:
+    """The set cells ``(i, j)`` of one name's notbot plane, row-major."""
+    rows = notbot[name]
+    for i in range(q):
+        row = int(rows[i])  # kernel-native rows may be np scalars
+        while row:
+            lsb = row & -row
+            yield i, lsb.bit_length() - 1
+            row ^= lsb
+
+
+def _encode_prep(prep: Preprocessing, counts: Optional[Counts]) -> bytes:
     slp = prep.slp
+    kernel = prep.kernel
     q = prep.q
     order = slp.canonical_order()
+    kinds = _kinds(slp, order)
+    names, n_inner = _section_order(order, kinds)
     row_words = (q + 63) // 64
     out = bytearray(
         _HEAD.pack(
@@ -253,16 +308,16 @@ def _encode_prep(
     _write_uvarint(out, len(prep.final_states))
     for state in prep.final_states:
         _write_uvarint(out, state)
-    out += bytes(0 if slp.is_leaf(name) else 1 for name in order)  # kinds
-    for name in order:  # planes section
-        out += _pack_words(prep.notbot[name], row_words)
-        out += _pack_words(prep.one[name], row_words)
-    for name in order:  # dense I section (mirrors the in-memory layout)
-        if not slp.is_leaf(name):
-            out += _pack_words(prep.I[name], row_words)
-    for name in order:  # leaf-table section
-        if not slp.is_leaf(name):
-            continue
+    out += kinds
+    _align(out)
+    notbot = kernel.encode_rows(prep.notbot, names, row_words)
+    out += notbot
+    out += kernel.encode_rows(prep.one, names, row_words)
+    i_cells = kernel.encode_cells(prep.I, names[:n_inner], notbot, q, row_words)
+    assert i_cells is not None  # I masks are q bits wide
+    out += _U64.pack(len(i_cells) // (row_words * 8))
+    out += i_cells
+    for name in names[n_inner:]:  # leaf-table section
         entries = sorted(prep.leaf_tables[name].items())
         _write_uvarint(out, len(entries))
         for (i, j), marker_sets in entries:
@@ -278,23 +333,32 @@ def _encode_prep(
                     out += var
                     out.append(0 if marker.kind == OPEN else 1)
     if counts is None:
-        out.append(0)
+        out.append(_COUNTS_ABSENT)
     else:
-        # Positional: the counts dict is keyed by exactly the notbot-set
-        # cells (every consumer reads through ``CountingTables.count``,
-        # which only ever queries those), so the keys are implicit.
-        out.append(1)
-        get = counts.get
-        for name in order:
-            nb_rows = prep.notbot[name]
-            for i in range(q):
-                row = int(nb_rows[i])  # kernel-native rows may be np scalars
-                while row:
-                    lsb = row & -row
-                    _write_uvarint(out, get((name, i, lsb.bit_length() - 1), 0))
-                    row ^= lsb
+        if not isinstance(counts, CountingTables):
+            counts = CountingTables.from_counts(prep, counts)
+        rows = counts.rows
+        words = kernel.encode_cells(rows, names, notbot, q, 1)
+        if words is not None:
+            out.append(_COUNTS_U64)
+            _align(out)
+            out += _U64.pack(len(words) // _U64.size)
+            out += words
+        else:  # a count needs more than 64 bits: exact uvarints
+            out.append(_COUNTS_UVARINT)
+            for name in names:
+                flat = rows.get(name)
+                for i, j in _notbot_cells(prep.notbot, name, q):
+                    _write_uvarint(out, 0 if flat is None else int(flat[i * q + j]))
     out += _CRC.pack(zlib.crc32(out))
     return bytes(out)
+
+
+def _section_order(order: Sequence[object], kinds: bytes) -> Tuple[List[object], int]:
+    """The names in section order — the inner names, then the leaves, each
+    in canonical order — and the number of inner names."""
+    inners = list(compress(order, kinds))
+    return inners + list(compress(order, kinds.translate(_NOT))), len(inners)
 
 
 def _decode_prep(
@@ -302,23 +366,24 @@ def _decode_prep(
     padded_slp: SLP,
     automaton: SpannerNFA,
     kernel: Union[None, str, Kernel] = None,
-) -> Optional[Tuple[Preprocessing, Optional[Dict[Tuple[object, int, int], int]]]]:
+) -> Optional[Tuple[Preprocessing, Optional[CountsView]]]:
     """Attach a stored payload to live objects; ``None`` on any mismatch.
 
-    ``kernel`` selects the word-section codec (and the layout of the
-    attached planes).  Raises ``ValueError``/``struct.error`` on corrupt
-    bytes (callers treat those as a reject too).
+    ``kernel`` selects the section codec (and the layout of the attached
+    planes and counts).  Raises ``ValueError``/``struct.error`` on
+    corrupt bytes (callers treat those as a reject too).
     """
-    kernel = resolve_kernel(kernel)
-    if len(buf) < _HEAD.size + _CRC.size:
+    codec = resolve_kernel(kernel)
+    end = len(buf) - _CRC.size
+    if end < _HEAD.size:
         raise ValueError("truncated payload")
     magic, version, slp_digest, auto_digest, q, n_names = _HEAD.unpack_from(buf, 0)
     if magic != MAGIC:
         raise ValueError(f"bad magic {magic!r}")
     if version != STORE_FORMAT_VERSION:
         return None  # stale format: rebuild
-    (stored_crc,) = _CRC.unpack_from(buf, len(buf) - _CRC.size)
-    if stored_crc != zlib.crc32(memoryview(buf)[: len(buf) - _CRC.size]):
+    (stored_crc,) = _CRC.unpack_from(buf, end)
+    if stored_crc != zlib.crc32(memoryview(buf)[:end]):
         raise ValueError("CRC mismatch")
     if (
         slp_digest.hex() != padded_slp.structural_digest()
@@ -329,40 +394,34 @@ def _decode_prep(
     order = padded_slp.canonical_order()
     if n_names != len(order):
         return None
-    reader = _Reader(buf, _HEAD.size, len(buf) - _CRC.size)
+    reader = _Reader(buf, _HEAD.size, end)
     final_states = [reader.uvarint() for _ in range(reader.uvarint())]
-    kinds = reader.raw(len(order))
-    expected_kinds = bytes(0 if padded_slp.is_leaf(n) else 1 for n in order)
-    if bytes(kinds) != expected_kinds:
+    kinds = reader.raw(n_names)
+    if kinds != _kinds(padded_slp, order):
         return None  # shape disagrees with the live grammar
+    names, n_inner = _section_order(order, kinds)
     row_words = (q + 63) // 64
     field = row_words * 8
-    # planes section: one bulk word-decode (a zero-copy view under the
-    # numpy kernel), then C-level slicing per name — ndarray slices stay
-    # views into the payload, list slices are cheap copies.
-    plane_values = 2 * q
-    n_plane_values = len(order) * plane_values
-    plane_offset = reader.pos
-    reader.raw(n_plane_values * field)  # bounds check + cursor advance
-    values = kernel.decode_words(buf, plane_offset, n_plane_values, row_words)
-    notbot: Dict[object, PlaneRows] = {}
-    one: Dict[object, PlaneRows] = {}
-    for k, name in enumerate(order):
-        base = k * plane_values
-        notbot[name] = values[base : base + q]
-        one[name] = values[base + q : base + plane_values]
-    # dense I section: retained in place, decoded lazily per accessed name
-    inners = [name for name in order if not padded_slp.is_leaf(name)]
-    cells = q * q
-    i_offset = reader.pos
-    reader.raw(len(inners) * cells * field)  # bounds check + cursor advance
-    i_vectors = _LazyIVectors(
-        buf, i_offset, inners, row_words, cells, kernel.decode_words
+    reader.align()
+    notbot_offset = reader.skip(n_names * q * field)
+    one_offset = reader.skip(n_names * q * field)
+    n_i_cells = reader.u64()
+    i_offset = reader.skip(n_i_cells * field)
+    # One decode per section, on first use; under the numpy kernel every
+    # plane row is a zero-copy view into the payload.
+    index = dict(zip(names, range(n_names)))
+    notbot = _LazyRows(
+        index, lambda: codec.decode_rows(buf, notbot_offset, n_names, q, row_words)
     )
+    one = _LazyRows(
+        index, lambda: codec.decode_rows(buf, one_offset, n_names, q, row_words)
+    )
+    i_rows = codec.decode_cells(
+        buf, i_offset, n_i_cells, notbot_offset, n_inner, q, row_words
+    )
+    i_vectors = _LazyRows(dict(zip(names[:n_inner], range(n_inner))), lambda: i_rows)
     leaf_tables: Dict[object, Dict[Tuple[int, int], Tuple[Pairs, ...]]] = {}
-    for name in order:
-        if not padded_slp.is_leaf(name):
-            continue
+    for name in names[n_inner:]:
         table: Dict[Tuple[int, int], Tuple[Pairs, ...]] = {}
         for _ in range(reader.uvarint()):
             i = reader.uvarint()
@@ -378,18 +437,27 @@ def _decode_prep(
                 marker_sets.append(tuple(pairs))
             table[(i, j)] = tuple(marker_sets)
         leaf_tables[name] = table
-    counts: Optional[Dict[Tuple[object, int, int], int]] = None
-    if reader.byte():
-        counts = {}
+    tag = reader.byte()
+    rows: Optional[CountRows] = None
+    if tag == _COUNTS_U64:
+        reader.align()
+        n_cells = reader.u64()
+        offset = reader.skip(n_cells * _U64.size)
+        count_rows = codec.decode_cells(buf, offset, n_cells, notbot_offset, n_names, q, 1)
+        rows = _LazyRows(index, lambda: count_rows)
+    elif tag == _COUNTS_UVARINT:
         uvarint = reader.uvarint
-        for name in order:
-            nb_rows = notbot[name]
-            for i in range(q):
-                row = int(nb_rows[i])  # kernel-native rows may be np scalars
-                while row:
-                    lsb = row & -row
-                    counts[(name, i, lsb.bit_length() - 1)] = uvarint()
-                    row ^= lsb
+        exact: Dict[object, List[int]] = {}
+        for name in names:
+            flat = [0] * (q * q)
+            for i, j in _notbot_cells(notbot, name, q):
+                flat[i * q + j] = uvarint()
+            exact[name] = flat
+        rows = exact
+    elif tag != _COUNTS_ABSENT:
+        raise ValueError(f"bad counts tag {tag}")
+    if reader.pos != end:
+        raise ValueError("trailing bytes")
     prep = Preprocessing.from_planes(
         padded_slp,
         automaton,
@@ -400,9 +468,12 @@ def _decode_prep(
             "I": i_vectors,
             "final_states": final_states,
         },
-        kernel=kernel,
+        kernel=codec,
+        order=order,
     )
-    return prep, counts
+    if rows is None:
+        return prep, None
+    return prep, CountsView(CountingTables.from_rows(prep, rows))
 
 
 class StoreEntryInfo(NamedTuple):
@@ -459,13 +530,17 @@ class PreprocessingStore:
         padded_slp: SLP,
         automaton: SpannerNFA,
         kernel: Union[None, str, Kernel] = None,
-    ) -> Optional[Tuple[Preprocessing, Optional[Dict[Tuple[object, int, int], int]]]]:
+    ) -> Optional[Tuple[Preprocessing, Optional[CountsView]]]:
         """The persisted ``(Preprocessing, counts)`` for the key, or ``None``.
 
-        ``counts`` is ``None`` when the entry was saved before its counting
-        tables were ever built.  ``kernel`` selects the word-section codec
-        — the on-disk format is kernel-independent, so entries written
-        under one backend restore under any other.  Stale versions,
+        ``counts`` is a :class:`~repro.core.counting.CountsView` — a
+        read-only ``{(name, i, j): count}`` mapping over restored
+        :class:`~repro.core.counting.CountingTables`, which
+        ``CountingTables.from_counts`` adopts without copying — or
+        ``None`` when the entry was saved before its counting tables were
+        ever built.  ``kernel`` selects the section codec — the on-disk
+        format is kernel-independent, so entries written under one
+        backend restore under any other.  Stale versions,
         corrupt payloads and digest mismatches all return ``None``
         (counted in :attr:`StoreStats.rejects`) so the caller simply
         rebuilds; a payload that fails to *decode* (truncation,
@@ -484,6 +559,7 @@ class PreprocessingStore:
             registry.counter("store.misses").inc()
             return None
         buf = mangle("store.load.bytes", buf)
+        self.stats.bytes_read += len(buf)
         try:
             restored = _decode_prep(buf, padded_slp, automaton, kernel)
         except Exception:  # repro-check: broad-except — untrusted cache bytes: any decode failure means quarantine + rebuild (counted as a reject)
@@ -498,6 +574,40 @@ class PreprocessingStore:
         registry.counter("store.restore_bytes").inc(len(buf))
         registry.histogram("store.entry_bytes", BYTE_BUCKETS).observe(len(buf))
         return restored
+
+    def has(
+        self,
+        slp_digest: str,
+        automaton_digest: str,
+        padded_slp: SLP,
+        automaton: SpannerNFA,
+    ) -> bool:
+        """Whether the key holds a current entry for these inputs.
+
+        Reads only the 48-byte header: the magic, the format version,
+        both embedded digests and ``q`` must match.  Nothing is decoded
+        and no hit/miss is counted (presence checks are counted in the
+        ``store.presence_checks`` metric).  The body is not verified: a
+        corrupt body behind a good header is caught by the CRC check of
+        the :meth:`load` that needs the tables, and rebuilt there.
+        """
+        get_registry().counter("store.presence_checks").inc()
+        path = self._path(
+            slp_digest, automaton_digest, padded_slp.structural_digest()
+        )
+        try:
+            with open(path, "rb") as fh:
+                head = fh.read(_HEAD.size)
+            magic, version, slp_digest_b, auto_digest_b, q, _ = _HEAD.unpack(head)
+        except (OSError, struct.error):
+            return False
+        return (
+            magic == MAGIC
+            and version == STORE_FORMAT_VERSION
+            and slp_digest_b.hex() == padded_slp.structural_digest()
+            and auto_digest_b.hex() == automaton.structural_digest()
+            and q == automaton.num_states
+        )
 
     def _quarantine(self, path: str) -> None:
         """Move a corrupt entry aside so the rebuild owns its path.
@@ -522,9 +632,13 @@ class PreprocessingStore:
         slp_digest: str,
         automaton_digest: str,
         prep: Preprocessing,
-        counts: Optional[Dict[Tuple[object, int, int], int]] = None,
+        counts: Optional[Counts] = None,
     ) -> None:
         """Persist the tables under the key (atomic; best-effort).
+
+        ``counts`` are the pair's :class:`~repro.core.counting.CountingTables`
+        (encoded straight from their vectors), a ``{(name, i, j): count}``
+        mapping of them, or ``None``.
 
         The write goes to a tmp file that is fsynced and then renamed
         over the entry, so a writer killed at *any* point leaves either

@@ -10,11 +10,20 @@ the store's atomic replace keeps one copy — but one build is wasted).
 :func:`prime_store` removes the race *and* the waste for the common
 case: scan the corpus digests (cheap ``repro-slpb`` header reads), and
 for every digest that is missing from the store, build its tables once
-in the parent and persist them.  By default only *duplicated* digests
-are primed — a singleton grammar is built exactly once by whichever
-worker receives it anyway (and digest-affinity sharding already keeps
-duplicates on one worker; priming additionally covers duplicates that
-were split across spanners or re-planned after a crash).
+in the parent and persist them.  "Missing" is a header-only check
+(:meth:`~repro.engine.engine.Engine.in_store`, which reads 48 bytes and
+decodes nothing), so priming a warm store costs one small read per
+digest; a corrupt body behind a good header is caught later by the
+worker's CRC-checked load, quarantined and rebuilt.
+
+By default only *duplicated* digests are primed — a singleton grammar is
+built exactly once by whichever worker receives it anyway.
+Digest-affinity sharding keys on (digest, spanner), so within one call
+the duplicates of a pair already share one worker and its in-memory
+tables; the same digest under two spanners goes to different workers,
+but those need different tables anyway.  What priming adds is that the
+duplicated pairs' tables are on disk before any worker starts, so a
+shard re-planned after a crash restores them instead of rebuilding.
 """
 
 from __future__ import annotations
@@ -74,7 +83,7 @@ def prime_store(
             if only_duplicated and len(group) < 2:
                 continue
             slp = slp_io.load_file(group[0])
-            if engine.warm_from_store(nfa, slp, deterministic):
+            if engine.in_store(nfa, slp, deterministic):
                 continue  # already paid for (this run or a previous one)
             if task == "count":
                 engine.count(nfa, slp)  # builds + persists tables AND counts

@@ -430,3 +430,313 @@ class TestSelfHealing:
         store.save(*key, prep)
         restored, _ = store.load(*key, padded_slp, padded_nfa)
         assert_tables_bit_for_bit(prep, restored)
+
+
+# -- format v2: columnar sections, cross-kernel codecs, header-only has() ---
+
+from repro.core.counting import CountsView  # noqa: E402
+from repro.core.kernels import available_kernels, resolve_kernel  # noqa: E402
+from repro.obs.metrics import get_registry  # noqa: E402
+from repro.obs.trace import Tracer, read_trace, set_tracer  # noqa: E402
+from repro.slp import io as slp_io  # noqa: E402
+from repro.store import prime_store  # noqa: E402
+
+KERNELS = available_kernels()
+SPANNER = r".*(?P<x>a+)b.*"
+WIDE_SPANNER = r".*(?P<x>a{65}).*"  # a DFA of more than 64 states
+
+
+def dfa_pair(doc, pattern, kernel=None):
+    source, padded_slp, padded_nfa, _ = build_pair(doc, pattern)
+    return source, Preprocessing(padded_slp, padded_nfa, kernel=kernel)
+
+
+def only_entry(directory):
+    (entry,) = [n for n in os.listdir(directory) if n.endswith(".prep")]
+    return os.path.join(directory, entry)
+
+
+def reseal(data):
+    """Recompute the trailing CRC-32 of a payload edited on purpose."""
+    import zlib
+
+    struct.pack_into("<I", data, len(data) - 4, zlib.crc32(data[:-4]))
+
+
+def section_spans(buf):
+    """``{section: (start, end)}`` of a v2 payload that holds u64 counts."""
+    _, _, _, _, q, n_names = prepstore._HEAD.unpack_from(buf, 0)
+    end = len(buf) - 4
+    reader = prepstore._Reader(buf, prepstore._HEAD.size, end)
+    spans = {"header": (0, prepstore._HEAD.size)}
+    start = reader.pos
+    for _ in range(reader.uvarint()):
+        reader.uvarint()
+    n_leaves = reader.raw(n_names).count(0)
+    spans["final_states+kinds"] = (start, reader.pos)
+    reader.align()
+    plane = n_names * q * ((q + 63) // 64) * 8
+    spans["notbot"] = (reader.skip(plane), reader.pos)
+    spans["one"] = (reader.skip(plane), reader.pos)
+    start = reader.pos
+    reader.skip(reader.u64() * ((q + 63) // 64) * 8)
+    spans["I"] = (start, reader.pos)
+    start = reader.pos
+    for _ in range(n_leaves):
+        for _ in range(reader.uvarint()):  # entries: i, j, marker sets
+            reader.uvarint()
+            reader.uvarint()
+            for _ in range(reader.uvarint()):
+                for _ in range(reader.uvarint()):  # pairs: pos, var, kind
+                    reader.uvarint()
+                    reader.raw(reader.uvarint())
+                    reader.byte()
+    tag = reader.pos
+    assert buf[tag] == prepstore._COUNTS_U64
+    spans["leaf tables"] = (start, tag)
+    spans["counts"] = (tag, end)
+    spans["crc"] = (end, len(buf))
+    return spans
+
+
+class TestFormatV2:
+    @pytest.mark.parametrize("wide", [False, True], ids=["q<=64", "q>64"])
+    @pytest.mark.parametrize("restored_by", KERNELS)
+    @pytest.mark.parametrize("saved_by", KERNELS)
+    def test_saved_under_one_kernel_restores_under_each(
+        self, tmp_path, saved_by, restored_by, wide
+    ):
+        doc, pattern = ("ab" * 8 + "a" * 70 + "ba", WIDE_SPANNER) if wide else (
+            "abbaab" * 6, SPANNER
+        )
+        source, prep = dfa_pair(doc, pattern, kernel=saved_by)
+        assert (prep.q > 64) == wide
+        tables = CountingTables(prep)
+        store = PreprocessingStore(str(tmp_path))
+        key = (source.structural_digest(), prep.automaton.structural_digest())
+        store.save(*key, prep, tables)
+        restored, counts = store.load(
+            *key, prep.slp, prep.automaton, kernel=restored_by
+        )
+        assert restored.kernel.name == restored_by
+        assert restored.export_planes() == prep.export_planes()
+        assert_tables_bit_for_bit(prep, restored)
+        assert isinstance(counts, CountsView)
+        assert counts == tables.counts
+        loaded = CountingTables.from_counts(restored, counts)
+        assert loaded is counts.tables  # adopted, not copied
+        assert loaded.total() == tables.total() > 0
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_a_restored_entry_saves_back_bit_for_bit(self, tmp_path, kernel):
+        """Re-saving restored tables (counts built after a counts-less
+        restore) must encode sections that were never decoded."""
+        source, prep = dfa_pair("abbaab" * 6, SPANNER, kernel=kernel)
+        store = PreprocessingStore(str(tmp_path))
+        key = (source.structural_digest(), prep.automaton.structural_digest())
+        store.save(*key, prep)
+        restored, counts = store.load(*key, prep.slp, prep.automaton, kernel=kernel)
+        assert counts is None
+        tables = CountingTables(restored)
+        store.save(*key, restored, tables)
+        again, counts = store.load(*key, prep.slp, prep.automaton, kernel=kernel)
+        assert again.export_planes() == prep.export_planes()
+        assert counts == CountingTables(prep).counts
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_counts_past_64_bits_take_the_uvarint_section(self, tmp_path, kernel):
+        source = power_slp("ab", 70)  # 2**70 results
+        spanner = compile_spanner(r"(a|b)*(?P<x>ab)(a|b)*", alphabet="ab")
+        base = spanner.eliminate_epsilon().determinize().trim()
+        padded_slp, padded_nfa = pad_slp(source), pad_spanner(base)
+        prep = Preprocessing(padded_slp, padded_nfa, kernel=kernel)
+        tables = CountingTables(prep)
+        assert tables.total() == 2**70
+        # the fixed-width u64 encoding refuses them
+        codec = resolve_kernel(kernel)
+        order = padded_slp.canonical_order()
+        notbot = codec.encode_rows(prep.notbot, order, 1)
+        assert codec.encode_cells(tables.rows, order, notbot, prep.q, 1) is None
+        store = PreprocessingStore(str(tmp_path))
+        key = (source.structural_digest(), padded_nfa.structural_digest())
+        store.save(*key, prep, tables)
+        for restored_by in KERNELS:
+            restored, counts = store.load(
+                *key, padded_slp, padded_nfa, kernel=restored_by
+            )
+            assert counts == tables.counts
+            assert CountingTables.from_counts(restored, counts).total() == 2**70
+
+    @pytest.mark.parametrize("damage", ["flip", "truncate"])
+    @pytest.mark.parametrize(
+        "section",
+        ["header", "final_states+kinds", "notbot", "one", "I", "leaf tables",
+         "counts", "crc"],
+    )
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_damage_inside_each_section_is_quarantined_and_rebuilt(
+        self, tmp_path, kernel, section, damage
+    ):
+        spanner = compile_spanner(SPANNER, alphabet="ab")
+        doc = balanced_slp("abbaab" * 8)
+        store = PreprocessingStore(str(tmp_path))
+        expected = Engine(store=store, kernel=kernel).count(spanner, doc)
+        entry = only_entry(str(tmp_path))
+        with open(entry, "r+b") as fh:
+            data = bytearray(fh.read())
+            lo, hi = section_spans(bytes(data))[section]
+            assert lo < hi
+            middle = (lo + hi) // 2
+            if damage == "flip":
+                data[middle] ^= 0x10
+            else:
+                data = data[:middle]
+            fh.seek(0)
+            fh.truncate()
+            fh.write(data)
+        fresh = PreprocessingStore(str(tmp_path))
+        assert Engine(store=fresh, kernel=kernel).count(spanner, doc) == expected
+        assert fresh.stats.rejects == 1
+        assert fresh.stats.quarantined == 1
+        assert os.path.exists(entry + ".quarantined")
+        assert fresh.stats.writes == 1  # rebuilt and re-persisted
+        again = PreprocessingStore(str(tmp_path))
+        assert Engine(store=again, kernel=kernel).count(spanner, doc) == expected
+        assert (again.stats.hits, again.stats.rejects) == (1, 0)
+
+    def test_version_1_entry_is_a_clean_reject_overwritten_in_place(self, tmp_path):
+        spanner = compile_spanner(SPANNER, alphabet="ab")
+        doc = balanced_slp("abbaab" * 4)
+        expected = Engine(store=PreprocessingStore(str(tmp_path))).count(spanner, doc)
+        entry = only_entry(str(tmp_path))
+        with open(entry, "r+b") as fh:
+            data = bytearray(fh.read())
+            struct.pack_into("<H", data, 6, 1)
+            reseal(data)
+            fh.seek(0)
+            fh.write(data)
+        fresh = PreprocessingStore(str(tmp_path))
+        assert Engine(store=fresh).count(spanner, doc) == expected
+        assert (fresh.stats.rejects, fresh.stats.quarantined) == (1, 0)
+        assert os.listdir(str(tmp_path)) == [os.path.basename(entry)]
+        with open(entry, "rb") as fh:
+            (version,) = struct.unpack_from("<H", fh.read(8), 6)
+        assert version == prepstore.STORE_FORMAT_VERSION == 2
+        again = PreprocessingStore(str(tmp_path))
+        assert Engine(store=again).count(spanner, doc) == expected
+        assert again.stats.hits == 1
+
+    def test_trailing_bytes_are_rejected(self, tmp_path):
+        store, key, padded_slp, padded_nfa, entry = TestRejection._saved(
+            self, tmp_path
+        )
+        with open(entry, "r+b") as fh:
+            data = bytearray(fh.read())
+            data[-4:-4] = b"\x00" * 8  # well-sealed, but longer than its sections
+            reseal(data)
+            fh.seek(0)
+            fh.write(data)
+        assert store.load(*key, padded_slp, padded_nfa) is None
+        assert store.stats.quarantined == 1
+
+
+class TestHas:
+    def _saved(self, tmp_path):
+        return TestRejection._saved(self, tmp_path)
+
+    def _patched(self, entry, offset, value):
+        with open(entry, "r+b") as fh:
+            data = bytearray(fh.read())
+            data[offset : offset + len(value)] = value
+            fh.seek(0)
+            fh.write(data)
+
+    def test_true_for_a_current_entry_and_decodes_nothing(self, tmp_path):
+        store, key, padded_slp, padded_nfa, _ = self._saved(tmp_path)
+        checks = get_registry().counter("store.presence_checks")
+        before = checks.value
+        assert store.has(*key, padded_slp, padded_nfa)
+        assert checks.value == before + 1
+        assert (store.stats.hits, store.stats.misses, store.stats.bytes_read) == (0, 0, 0)
+
+    def test_false_on_a_missing_file(self, tmp_path):
+        store, key, padded_slp, padded_nfa, entry = self._saved(tmp_path)
+        os.unlink(entry)
+        assert not store.has(*key, padded_slp, padded_nfa)
+
+    def test_false_on_a_stale_version(self, tmp_path):
+        store, key, padded_slp, padded_nfa, entry = self._saved(tmp_path)
+        self._patched(entry, 6, struct.pack("<H", 1))
+        assert not store.has(*key, padded_slp, padded_nfa)
+
+    @pytest.mark.parametrize("offset", [8, 24], ids=["padded-slp", "automaton"])
+    def test_false_on_a_digest_mismatch(self, tmp_path, offset):
+        store, key, padded_slp, padded_nfa, entry = self._saved(tmp_path)
+        self._patched(entry, offset, bytes(16))
+        assert not store.has(*key, padded_slp, padded_nfa)
+
+    def test_false_on_a_truncated_header(self, tmp_path):
+        store, key, padded_slp, padded_nfa, entry = self._saved(tmp_path)
+        with open(entry, "r+b") as fh:
+            fh.truncate(20)
+        assert not store.has(*key, padded_slp, padded_nfa)
+
+    def test_a_corrupt_body_is_left_to_load(self, tmp_path):
+        store, key, padded_slp, padded_nfa, entry = self._saved(tmp_path)
+        with open(entry, "r+b") as fh:
+            data = bytearray(fh.read())
+            data[len(data) // 2] ^= 0xFF
+            fh.seek(0)
+            fh.write(data)
+        assert store.has(*key, padded_slp, padded_nfa)  # header only
+        assert store.load(*key, padded_slp, padded_nfa) is None
+        assert store.stats.quarantined == 1
+        assert not store.has(*key, padded_slp, padded_nfa)
+
+
+class TestPriming:
+    def test_second_prime_over_a_warm_store_decodes_nothing(self, tmp_path):
+        paths = []
+        for k, text in enumerate(["abbaab" * 5, "abbaab" * 5, "babbab" * 5]):
+            path = str(tmp_path / f"doc{k}.slpb")
+            slp_io.save_binary(balanced_slp(text), path)
+            paths.append(path)
+        spanner = compile_spanner(SPANNER, alphabet="ab")
+        directory = str(tmp_path / "store")
+        assert prime_store(directory, [(spanner, paths)], task="count") == 1
+        registry = get_registry()
+        counters = ["store.restores", "store.restore_bytes"]
+        before = [registry.counter(name).value for name in counters]
+        checks = registry.counter("store.presence_checks").value
+        assert prime_store(directory, [(spanner, paths)], task="count") == 0
+        assert [registry.counter(name).value for name in counters] == before
+        assert registry.counter("store.presence_checks").value == checks + 1
+
+
+class TestRestoreSpan:
+    def test_engine_store_restore_span_is_tagged(self, tmp_path):
+        spanner = compile_spanner(SPANNER, alphabet="ab")
+        doc = balanced_slp("abbaab" * 4)
+        directory = str(tmp_path / "store")
+        sink = str(tmp_path / "trace.jsonl")
+        set_tracer(Tracer(sink))
+        try:
+            Engine(store=PreprocessingStore(directory)).count(spanner, doc)  # miss
+            engine = Engine(store=PreprocessingStore(directory))
+            engine.count(spanner, doc)  # hit, counts included
+            with open(only_entry(directory), "r+b") as fh:
+                fh.write(b"\xff")  # bad magic
+            Engine(store=PreprocessingStore(directory)).count(spanner, doc)  # reject
+        finally:
+            set_tracer(None)
+        spans = [r["tags"] for r in read_trace(sink) if r["name"] == "engine.store_restore"]
+        assert [tags["outcome"] for tags in spans] == ["miss", "hit", "reject"]
+        prep = engine.preprocessing(spanner, doc, deterministic=True)
+        size = os.path.getsize(only_entry(directory))
+        miss, hit, reject = spans
+        assert miss["bytes"] == 0 and miss["counts"] == "absent"
+        assert hit["bytes"] == size and hit["counts"] == "present"
+        assert reject["bytes"] == size and reject["counts"] == "absent"
+        for tags in spans:
+            assert tags["q"] == prep.q
+            assert tags["rules"] == len(prep.order)

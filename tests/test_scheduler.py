@@ -483,3 +483,32 @@ class TestIntrospection:
         assert "priority" not in captured
         assert "tag" not in captured
         assert "cancel_on_disconnect" not in captured
+
+    def test_snapshot_of_a_fleet_holding_a_dead_worker_is_consistent(self):
+        """A worker that died but is not replaced yet counts nowhere.
+
+        The snapshot is built from a stub fleet, so the dead worker is
+        there deterministically: no processes, no sleeping.
+        """
+        from types import SimpleNamespace
+
+        from repro.service.scheduler import FleetScheduler
+
+        def worker(pid, exitcode):
+            return SimpleNamespace(process=SimpleNamespace(pid=pid, exitcode=exitcode))
+
+        workers = [worker(101, None), worker(102, -9), worker(103, None)]
+        fleet = SimpleNamespace(
+            jobs=3, max_retries=1, timeout=None, _worker_snapshot=lambda: list(workers)
+        )
+        scheduler = FleetScheduler(fleet)
+        try:
+            with scheduler._lock:
+                scheduler._update_snapshot_locked()
+            snapshot = scheduler.snapshot()
+        finally:
+            scheduler._wake_rx.close()
+            scheduler._wake_tx.close()
+        assert snapshot["pids"] == [101, 103]
+        assert snapshot["alive"] == len(snapshot["pids"]) == 2
+        assert snapshot["jobs"] == 3
