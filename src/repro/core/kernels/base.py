@@ -208,6 +208,16 @@ class Kernel:
         the section's ``t``-th name."""
         raise NotImplementedError
 
+    def check_rows(self, buf: bytes, offset: int, count: int, q: int) -> None:
+        """Raise ``ValueError`` unless none of the ``count`` q-bit rows of
+        the word section at ``offset`` sets a bit at or past ``q``.
+
+        The store runs it over every mask section before it attaches one,
+        so a row can never name a state that does not exist (callers
+        bounds-check the section).
+        """
+        raise NotImplementedError
+
     def encode_cells(
         self,
         values: Mapping[object, Sequence[SupportsInt]],
@@ -240,7 +250,8 @@ class Kernel:
         """The inverse of :meth:`encode_cells`: the ``count`` flat ``q·q``
         vectors of the first ``count`` names of the notbot section at
         ``notbot_offset``, the ``n_cells`` fields at ``offset`` scattered
-        into their set cells and 0 elsewhere.  Raises ``ValueError`` when
+        into their set cells and 0 elsewhere.  The notbot rows must set no
+        bit past ``q`` (:meth:`check_rows`).  Raises ``ValueError`` when
         those names do not have exactly ``n_cells`` set cells; each vector
         is decoded only when it is indexed."""
         raise NotImplementedError
@@ -375,6 +386,11 @@ class PythonKernel(Kernel):
     ) -> List[List[int]]:
         values = self.decode_words(buf, offset, count * width, row_words)
         return [values[k : k + width] for k in range(0, count * width, width)]
+
+    def check_rows(self, buf: bytes, offset: int, count: int, q: int) -> None:
+        rows = self.decode_words(buf, offset, count, (q + 63) // 64)
+        if rows and max(rows) >> q:
+            raise ValueError("row bits past q")
 
     def encode_cells(
         self,

@@ -310,6 +310,15 @@ class NumpyKernel(Kernel):
         words = np.frombuffer(buf, dtype=WORD, count=count * width, offset=offset)
         return words.reshape(count, width)
 
+    def check_rows(self, buf: bytes, offset: int, count: int, q: int) -> None:
+        row_words, spare = (q + 63) // 64, -q % 64
+        if not spare:
+            return  # q fills its words: no bit lies past it
+        words = np.frombuffer(buf, dtype=WORD, count=count * row_words, offset=offset)
+        top = words.reshape(count, row_words)[:, -1]
+        if (top >> np.uint64(64 - spare)).any():
+            raise ValueError("row bits past q")
+
     def encode_cells(
         self,
         values: Mapping[object, Sequence[SupportsInt]],
@@ -347,7 +356,7 @@ class NumpyKernel(Kernel):
         words = np.frombuffer(
             buf, dtype=WORD, count=count * q * notbot_words, offset=notbot_offset
         ).reshape(count, q, notbot_words)
-        # Bits past q in a row are always clear, so count every bit.
+        # Bits past q in a row are clear (check_rows), so count every bit.
         sizes = _popcount(words).reshape(count, -1).sum(axis=1, dtype=np.int64)
         offsets: List[int] = [0, *np.cumsum(sizes).tolist()]
         if offsets[-1] != n_cells:

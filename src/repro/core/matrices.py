@@ -267,7 +267,6 @@ class Preprocessing:
         automaton: SpannerNFA,
         planes: Dict[str, Any],
         kernel: Union[None, str, Kernel] = None,
-        order: Optional[List[Any]] = None,
     ) -> "Preprocessing":
         """Rebuild a :class:`Preprocessing` from :meth:`export_planes` output.
 
@@ -278,10 +277,9 @@ class Preprocessing:
         is validated, the table *contents* are trusted.  Plane containers
         may be in any kernel's layout (the accessors normalise); ``kernel``
         records the backend that decoded them and steers later derived
-        builds (e.g. counting tables).  ``order`` is a children-before-
-        parents list of exactly the reachable nonterminals, when the caller
-        already has one (the store passes ``slp.canonical_order()``);
-        by default it is derived from ``slp``.
+        builds (e.g. counting tables).  The restored :attr:`order` is
+        ``slp.canonical_order()`` (cached on ``slp``; the store has already
+        computed it to check the digests).
         """
         if automaton.has_epsilon:
             raise EvaluationError("preprocessing requires an ε-free automaton")
@@ -295,10 +293,7 @@ class Preprocessing:
         obj.one = planes["one"]
         obj.I = planes["I"]
         obj.final_states = list(planes["final_states"])
-        if order is None:
-            reachable = slp.reachable()
-            order = [n for n in slp.topological_order() if n in reachable]
-        obj.order = order
+        order = obj.order = slp.canonical_order()
         obj._levels = None
         is_leaf = slp.leaf_rules.__contains__
         leaves = list(filter(is_leaf, order))
@@ -311,13 +306,8 @@ class Preprocessing:
 
 
 def _require(tables: Mapping[object, Any], names: List[object], what: str) -> None:
-    """Raise unless ``tables`` covers every name (one C-level scan).
-
-    A container that decodes its entries on first use (the store's) may
-    answer for all names at once through a ``covers(names)`` method.
-    """
-    covers = getattr(tables, "covers", None)
-    if not (covers(names) if covers is not None else all(map(tables.__contains__, names))):
+    """Raise unless ``tables`` covers every name."""
+    if not all(map(tables.__contains__, names)):
         name = next(name for name in names if name not in tables)
         raise EvaluationError(f"imported planes miss {what} {name!r}")
 

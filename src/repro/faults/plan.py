@@ -154,10 +154,17 @@ def _bump_file_counter(path: str) -> int:
     The file-backed counter survives process respawns, which is what
     lets a ``crash`` rule fire on the first N attempts and then let the
     replacement worker through — the semantics the retry tests need.
+    The count is this write's own end offset: an ``O_APPEND`` write
+    lands at the end and moves the offset in one step, whereas reading
+    the file size afterwards could also count another process's byte,
+    so two workers hitting together would both see 2 and neither fire.
     """
-    with open(path, "ab") as fh:
-        fh.write(b"\x00")
-    return os.path.getsize(path)
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        os.write(fd, b"\x00")
+        return os.lseek(fd, 0, os.SEEK_CUR)
+    finally:
+        os.close(fd)
 
 
 class FaultPlan:

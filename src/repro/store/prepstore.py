@@ -61,7 +61,8 @@ written by one boolean-mask gather and restored by one scatter into a
 ``{(name, i, j): count}`` dict either way.
 
 A restore validates the whole payload up front — CRC, digests, ``q``,
-kinds, every section's bounds and cell count, no trailing bytes — but
+kinds, every section's bounds and cell count, no mask bit at or past
+``q`` in notbot, one or I, no trailing bytes — but
 decodes a section only when a name of it is first looked up: a count
 served from restored counting tables decodes the counts and nothing else.
 That keeps a restore at O(size(S)) Python operations over at most
@@ -269,10 +270,6 @@ class _LazyRows(Dict[object, Any]):
     def get(self, name: object, default: Any = None) -> Any:
         return self[name] if name in self._index else default
 
-    def covers(self, names: List[object]) -> bool:
-        """Whether every one of ``names`` is in the section."""
-        return self._index.keys() >= set(names)
-
 
 def _notbot_cells(
     notbot: Mapping[object, PlaneRows], name: object, q: int
@@ -407,6 +404,9 @@ def _decode_prep(
     one_offset = reader.skip(n_names * q * field)
     n_i_cells = reader.u64()
     i_offset = reader.skip(n_i_cells * field)
+    # No mask may name a state >= q: notbot and one are adjacent, one check.
+    codec.check_rows(buf, notbot_offset, 2 * n_names * q, q)
+    codec.check_rows(buf, i_offset, n_i_cells, q)
     # One decode per section, on first use; under the numpy kernel every
     # plane row is a zero-copy view into the payload.
     index = dict(zip(names, range(n_names)))
@@ -469,7 +469,6 @@ def _decode_prep(
             "final_states": final_states,
         },
         kernel=codec,
-        order=order,
     )
     if rows is None:
         return prep, None

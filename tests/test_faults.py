@@ -6,6 +6,7 @@ exercised by the chaos suite (``test_chaos.py``).
 """
 
 import os
+import threading
 
 import pytest
 
@@ -119,6 +120,28 @@ class TestTriggers:
         second = FaultPlan([rule])
         assert second.fire("s", CONTROL_KINDS) is None  # count now 3 > nth
         assert os.path.getsize(counter) == 3
+
+    def test_counter_file_counts_each_concurrent_hit_once(self, tmp_path):
+        """Processes hitting one counter together (two workers taking
+        their first shards) must each see their own count; a shared
+        count of 2 would let an ``nth=1`` rule fire for neither."""
+        from repro.faults.plan import _bump_file_counter
+
+        counter = str(tmp_path / "hits")
+        counts = [[] for _ in range(4)]
+        threads = [
+            threading.Thread(
+                target=lambda out=out: out.extend(
+                    _bump_file_counter(counter) for _ in range(200)
+                )
+            )
+            for out in counts
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert sorted(sum(counts, [])) == list(range(1, 801))
 
     def test_kind_filter_separates_control_and_data_rules(self):
         plan = FaultPlan(

@@ -604,6 +604,43 @@ class TestFormatV2:
         assert Engine(store=again, kernel=kernel).count(spanner, doc) == expected
         assert (again.stats.hits, again.stats.rejects) == (1, 0)
 
+    @pytest.mark.parametrize("wide", [False, True], ids=["q<=64", "q>64"])
+    @pytest.mark.parametrize("section", ["notbot", "one", "I"])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_a_mask_bit_past_q_is_rejected_at_load(
+        self, tmp_path, kernel, section, wide
+    ):
+        """A well-sealed payload whose mask names a state >= q is refused
+        by load itself, not left to fail at the first lookup.  The damage
+        moves a set bit, so every cell count still matches."""
+        doc, pattern = ("ab" * 8 + "a" * 70 + "ba", WIDE_SPANNER) if wide else (
+            "abbaab" * 6, SPANNER
+        )
+        source, prep = dfa_pair(doc, pattern, kernel=kernel)
+        assert prep.q % 64  # the top word of a row has spare bits
+        store = PreprocessingStore(str(tmp_path))
+        key = (source.structural_digest(), prep.automaton.structural_digest())
+        store.save(*key, prep, CountingTables(prep))
+        entry = only_entry(str(tmp_path))
+        with open(entry, "rb") as fh:
+            data = bytearray(fh.read())
+        lo, hi = section_spans(bytes(data))[section]
+        if section == "I":
+            lo += 8  # past the cell count, to the first mask
+        field = (prep.q + 63) // 64 * 8
+        at = next(
+            at for at in range(lo, hi, field) if any(data[at : at + field])
+        )
+        row = int.from_bytes(data[at : at + field], "little")
+        row ^= row & -row  # its lowest set bit moves to bit 64 * row_words - 1
+        data[at : at + field] = (row | 1 << (8 * field - 1)).to_bytes(field, "little")
+        reseal(data)
+        with open(entry, "wb") as fh:
+            fh.write(data)
+        fresh = PreprocessingStore(str(tmp_path))
+        assert fresh.load(*key, prep.slp, prep.automaton, kernel=kernel) is None
+        assert (fresh.stats.rejects, fresh.stats.quarantined) == (1, 1)
+
     def test_version_1_entry_is_a_clean_reject_overwritten_in_place(self, tmp_path):
         spanner = compile_spanner(SPANNER, alphabet="ab")
         doc = balanced_slp("abbaab" * 4)
